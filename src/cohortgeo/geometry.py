@@ -39,16 +39,22 @@ Numerical scheme, in the order the quantities are built:
 
 Border points, points whose 3x3 neighbourhood touches a missing cell, and
 points with degenerate stencils are flagged invalid and carry zero fields.
-All functions are pure; :func:`compute_geometry_field` is a vectorized map
-over independent grid points and is deterministic regardless of scheduling.
+All functions are pure. :func:`compute_geometry_field` is a vectorized map
+over independent grid points, run in blocks of interior rows that each read
+one halo row above and below and write straight into the full-grid result.
+Blocks run on a thread pool only when the grid spans more than one of them;
+since every point sees the same arithmetic, the result is bit-identical to
+a single pass over the whole grid whatever the block height or scheduling.
 """
 
 from __future__ import annotations
 
+import contextvars
 import csv
 import io
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +80,8 @@ _STENCIL_OFFSETS = (
 
 _TANGENT_EPS = 1e-14
 _EIGENGAP_TOL = 1e-9
+# Points per kernel row block; bounds temporaries and sets the thread split.
+_BLOCK_POINTS = 32768
 
 
 def _norm3(v: np.ndarray) -> float:
@@ -334,61 +342,48 @@ def compute_point_geometry(grid: SurfaceGrid, i: int, j: int):
     return tangents, cvs, normal, ncs
 
 
-def compute_geometry_field(surface: MortalitySurface | SurfaceGrid,
-                           options: GeometryOptions | None = None) -> GeometryField:
-    """Run the kernel over every interior grid point.
+def _kernel_rows(P: np.ndarray, present: np.ndarray, r0: int, r1: int,
+                 out: tuple[np.ndarray, ...]) -> None:
+    """Kernel over interior rows ``r0..r1-1``, reading one halo row each side.
 
-    Vectorized over points; identical arithmetic to
-    :func:`compute_point_geometry` at each valid point. Points are valid
-    only when all nine neighbourhood cells are present and every stencil is
-    non-degenerate with an unambiguous normal.
+    ``P`` is the ``(ny, nx, 3)`` point grid and ``present`` its mask; ``out``
+    is ``(valid, tangents, curvature_vectors, normals, normal_curvatures)``,
+    full-grid and zero-filled. A call writes only its own rows, and only the
+    valid points there, so blocks may run concurrently. Same arithmetic as
+    :func:`compute_point_geometry` at each valid point.
     """
-    options = options or GeometryOptions()
-    grid = prepare_grid(surface, options)
-    ny, nx = grid.shape
-    if ny < 3 or nx < 3:
-        raise SurfaceSizeError(f"grid {ny}x{nx} is smaller than 3x3")
+    nx = P.shape[1]
+    h = r1 - r0
+    P = P[r0 - 1:r1 + 1]
+    present = present[r0 - 1:r1 + 1]
 
-    P = np.empty((ny, nx, 3))
-    P[..., 0] = grid.t[:, None]
-    P[..., 1] = grid.x[None, :]
-    P[..., 2] = grid.z
-    present = grid.present
-
-    valid = np.ones((ny - 2, nx - 2), dtype=bool)
+    valid = np.ones((h, nx - 2), dtype=bool)
     for di in (-1, 0, 1):
         for dj in (-1, 0, 1):
-            valid &= present[1 + di:ny - 1 + di, 1 + dj:nx - 1 + dj]
+            valid &= present[1 + di:h + 1 + di, 1 + dj:nx - 1 + dj]
 
     center = P[1:-1, 1:-1]
     V = np.zeros(center.shape[:2] + (4, 3))
     CV = np.zeros_like(V)
+    # errstate is context-local: it must be entered in the thread running
+    # the block, not around the pool.
     with np.errstate(invalid="ignore", divide="ignore"):
         for k, ((di0, dj0), (di2, dj2)) in enumerate(_STENCIL_OFFSETS):
-            q0 = P[1 + di0:ny - 1 + di0, 1 + dj0:nx - 1 + dj0]
-            q2 = P[1 + di2:ny - 1 + di2, 1 + dj2:nx - 1 + dj2]
+            q0 = P[1 + di0:h + 1 + di0, 1 + dj0:nx - 1 + dj0]
+            q2 = P[1 + di2:h + 1 + di2, 1 + dj2:nx - 1 + dj2]
             c01 = center - q0
             c12 = q2 - center
             a = np.sqrt(c01[..., 0] ** 2 + c01[..., 1] ** 2 + c01[..., 2] ** 2)
             b = np.sqrt(c12[..., 0] ** 2 + c12[..., 1] ** 2 + c12[..., 2] ** 2)
             ok = valid & (a > 0) & (b > 0)
-            s1 = a / (a + b)
-            d0 = 0.0 - s1
-            d2 = 1.0 - s1
-            den = d0 * d0 + d2 * d2
-            T = (d0[..., None] * (q0 - center) + d2[..., None] * (q2 - center)) \
-                / den[..., None]
+            s1 = (a / (a + b))[..., None]
+            T = _ls_slope(q0, center, q2, 0.0, s1, 1.0)
             nT = np.sqrt(T[..., 0] ** 2 + T[..., 1] ** 2 + T[..., 2] ** 2)
             ok &= nT >= _TANGENT_EPS
             vk = T / nT[..., None]
             u0 = c01 / a[..., None]
             u2 = c12 / b[..., None]
-            m0 = 0.5 * (0.0 + s1)
-            m2 = 0.5 * (s1 + 1.0)
-            e0 = m0 - s1
-            e2 = m2 - s1
-            dV = (e0[..., None] * (u0 - vk) + e2[..., None] * (u2 - vk)) \
-                / (e0 * e0 + e2 * e2)[..., None]
+            dV = _ls_slope(u0, vk, u2, 0.5 * (0.0 + s1), s1, 0.5 * (s1 + 1.0))
             cvk = dV / nT[..., None]
             V[..., k, :] = np.where(ok[..., None], vk, 0.0)
             CV[..., k, :] = np.where(ok[..., None], cvk, 0.0)
@@ -407,29 +402,86 @@ def compute_geometry_field(surface: MortalitySurface | SurfaceGrid,
     n = np.where(flip[..., None], -n, n)
     NC = np.einsum("yxi,yxki->yxk", n, CV)
 
+    full_valid, full_V, full_CV, full_n, full_NC = out
+    rows = slice(r0, r1)
+    full_valid[rows, 1:-1] = valid
     keep = valid[..., None]
-    n = np.where(keep, n, 0.0)
-    NC = np.where(keep, NC, 0.0)
-    V = np.where(keep[..., None], V, 0.0)
-    CV = np.where(keep[..., None], CV, 0.0)
+    np.copyto(full_n[rows, 1:-1], n, where=keep)
+    np.copyto(full_NC[rows, 1:-1], NC, where=keep)
+    np.copyto(full_V[rows, 1:-1], V, where=keep[..., None])
+    np.copyto(full_CV[rows, 1:-1], CV, where=keep[..., None])
 
-    full_valid = np.zeros((ny, nx), dtype=bool)
-    full_valid[1:-1, 1:-1] = valid
-    full_V = np.zeros((ny, nx, 4, 3))
-    full_V[1:-1, 1:-1] = V
-    full_CV = np.zeros((ny, nx, 4, 3))
-    full_CV[1:-1, 1:-1] = CV
-    full_n = np.zeros((ny, nx, 3))
-    full_n[1:-1, 1:-1] = n
-    full_NC = np.zeros((ny, nx, 4))
-    full_NC[1:-1, 1:-1] = NC
+
+def _worker_count(n_blocks: int) -> int:
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return min(cpus, n_blocks)
+
+
+def compute_geometry_field(surface: MortalitySurface | SurfaceGrid,
+                           options: GeometryOptions | None = None) -> GeometryField:
+    """Run the kernel over every interior grid point.
+
+    Vectorized over points; identical arithmetic to
+    :func:`compute_point_geometry` at each valid point. Points are valid
+    only when all nine neighbourhood cells are present and every stencil is
+    non-degenerate with an unambiguous normal.
+
+    Interior rows are processed in blocks of about ``_BLOCK_POINTS`` points,
+    each reading one halo row above and below, so temporaries stay bounded.
+    A grid that fits one block runs on the calling thread; larger grids run
+    their blocks on a thread pool with one worker per available core. The
+    map is pointwise, so the result is bit-identical to a single pass.
+    """
+    options = options or GeometryOptions()
+    grid = prepare_grid(surface, options)
+    ny, nx = grid.shape
+    if ny < 3 or nx < 3:
+        raise SurfaceSizeError(f"grid {ny}x{nx} is smaller than 3x3")
+
+    P = np.empty((ny, nx, 3))
+    P[..., 0] = grid.t[:, None]
+    P[..., 1] = grid.x[None, :]
+    P[..., 2] = grid.z
+    present = grid.present
+
+    out = (
+        np.zeros((ny, nx), dtype=bool),
+        np.zeros((ny, nx, 4, 3)),
+        np.zeros((ny, nx, 4, 3)),
+        np.zeros((ny, nx, 3)),
+        np.zeros((ny, nx, 4)),
+    )
+    step = max(1, _BLOCK_POINTS // nx)
+    blocks = [(r0, min(r0 + step, ny - 1)) for r0 in range(1, ny - 1, step)]
+    workers = _worker_count(len(blocks))
+    if workers <= 1:
+        for r0, r1 in blocks:
+            _kernel_rows(P, present, r0, r1, out)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            # Each block runs in a copy of the caller's context, so an
+            # enclosing np.errstate applies in the workers too.
+            futures = [
+                pool.submit(contextvars.copy_context().run,
+                            _kernel_rows, P, present, r0, r1, out)
+                for r0, r1 in blocks
+            ]
+            for future in futures:
+                future.result()
+
+    valid, tangents, curvature_vectors, normals, normal_curvatures = out
     return GeometryField(
         years=grid.t,
         ages=grid.x,
-        valid=full_valid,
-        tangents=full_V,
-        curvature_vectors=full_CV,
-        normals=full_n,
-        normal_curvatures=full_NC,
+        valid=valid,
+        tangents=tangents,
+        curvature_vectors=curvature_vectors,
+        normals=normals,
+        normal_curvatures=normal_curvatures,
         options=options,
     )

@@ -22,6 +22,7 @@ the returned row accounting lets callers verify nothing was dropped.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Mapping
@@ -72,6 +73,9 @@ def _parse_value(token: str, lineno: int) -> float:
         value = float(token)
     except ValueError:
         raise FormatError(f"line {lineno}: unparsable rate {token!r}") from None
+    if math.isnan(value):
+        raise FormatError(f"line {lineno}: rate {token!r} is not a number; "
+                          "write '.' for a missing cell")
     return value
 
 
@@ -181,7 +185,7 @@ def load_hmd(path: str | Path, sex: Sex | str | None = None):
     With ``sex`` given, returns that single surface; otherwise the full
     :class:`HmdParseResult`.
     """
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8")
     result = parse_hmd(io.StringIO(text))
     if sex is None:
         return result

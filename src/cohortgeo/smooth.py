@@ -72,19 +72,29 @@ class AnalyticSurface:
         h = _FD_STEP1
         g = _FD_STEP2
         f = self.f
-        checks = {
-            "f_t": (self.f_t(t, x), (f(t + h, x) - f(t - h, x)) / (2 * h)),
-            "f_x": (self.f_x(t, x), (f(t, x + h) - f(t, x - h)) / (2 * h)),
-            "f_tt": (self.f_tt(t, x),
-                     (f(t + g, x) - 2 * f(t, x) + f(t - g, x)) / (g * g)),
-            "f_xx": (self.f_xx(t, x),
-                     (f(t, x + g) - 2 * f(t, x) + f(t, x - g)) / (g * g)),
-            "f_tx": (self.f_tx(t, x),
-                     (f(t + g, x + g) - f(t + g, x - g)
-                      - f(t - g, x + g) + f(t - g, x - g)) / (4 * g * g)),
-        }
+        # Off the surface's real domain the formulas give nan; that is
+        # reported below, so numpy's warnings about it are noise.
+        with np.errstate(all="ignore"):
+            checks = {
+                "f_t": (self.f_t(t, x), (f(t + h, x) - f(t - h, x)) / (2 * h)),
+                "f_x": (self.f_x(t, x), (f(t, x + h) - f(t, x - h)) / (2 * h)),
+                "f_tt": (self.f_tt(t, x),
+                         (f(t + g, x) - 2 * f(t, x) + f(t - g, x)) / (g * g)),
+                "f_xx": (self.f_xx(t, x),
+                         (f(t, x + g) - 2 * f(t, x) + f(t, x - g)) / (g * g)),
+                "f_tx": (self.f_tx(t, x),
+                         (f(t + g, x + g) - f(t + g, x - g)
+                          - f(t - g, x + g) + f(t - g, x - g)) / (4 * g * g)),
+            }
         for label, (exact, approx) in checks.items():
-            err = float(np.max(np.abs(np.asarray(exact) - approx)))
+            exact = np.asarray(exact, dtype=float)
+            if not (np.isfinite(exact).all() and np.isfinite(approx).all()):
+                raise ValueError(
+                    f"surface {self.name!r}: {label} is not finite everywhere "
+                    f"on the domain {self.domain}; the surface is not "
+                    f"real-valued there"
+                )
+            err = float(np.max(np.abs(exact - approx)))
             if not err < _SELF_CHECK_TOL:
                 raise ValueError(
                     f"surface {self.name!r}: {label} disagrees with finite "

@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -185,9 +186,13 @@ class MortalitySurface:
 
 def _parse_rate_token(token: str, where: str) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise FormatError(f"non-numeric value {token!r} at {where}") from None
+    if math.isnan(value):
+        raise FormatError(f"value {token!r} at {where} is not a number; "
+                          "leave the field empty for a missing cell")
+    return value
 
 
 def parse_csv_matrix(

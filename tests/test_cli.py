@@ -116,6 +116,13 @@ class TestCei:
         assert run("cei", str(path), "--input-format", "csv",
                    "--first-year", "2000", "--first-age", "0") == 3
 
+    def test_nan_token_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        path.write_text("0.1,0.2,0.3\n0.3,nan,0.5\n0.5,0.6,0.7\n")
+        assert run("cei", str(path), "--input-format", "csv",
+                   "--first-year", "2000", "--first-age", "0") == 2
+        assert "'nan'" in capsys.readouterr().err
+
     def test_trim_before_series_exit_4(self, ridge_csv):
         assert run("cei", str(ridge_csv), "--input-format", "csv",
                    "--first-year", "1900", "--first-age", "0",
@@ -247,6 +254,20 @@ class TestOutputHandling:
                    "--window", "2500:2510", "-o", str(out)) == 4
         assert not out.exists()
         assert not list(tmp_path.glob(".cohortgeo-*"))
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+    @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+    def test_outputs_get_umask_default_mode(self, ridge_csv, tmp_path, umask):
+        args = ("--input-format", "csv", "--first-year", "1900",
+                "--first-age", "0", "-o")
+        previous = os.umask(umask)
+        try:
+            assert run("surface", str(ridge_csv), *args, str(tmp_path / "f.csv")) == 0
+            assert run("cei", str(ridge_csv), *args, str(tmp_path / "s.csv")) == 0
+        finally:
+            os.umask(previous)
+        for name in ("f.csv", "s.csv"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == 0o666 & ~umask
 
     def test_output_dir_env_var(self, ridge_csv, tmp_path, monkeypatch):
         outdir = tmp_path / "artifacts"

@@ -10,6 +10,8 @@ field assembly is checked point-by-point against the scalar path.
 from __future__ import annotations
 
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 import cohortgeo as cg
+from cohortgeo import geometry
 from cohortgeo import (
     AGE,
     COHORT,
@@ -310,16 +313,25 @@ class TestComputeGeometryField:
         assert np.abs(np.linalg.norm(V, axis=-1) - 1.0).max() < 1e-12
         assert np.abs(np.linalg.norm(N, axis=-1) - 1.0).max() < 1e-12
 
-    def test_matches_scalar_reference_path(self):
+    def test_matches_scalar_reference_path(self, monkeypatch):
         rng = np.random.default_rng(17)
         z = rng.uniform(0.05, 1.5, size=(9, 8))
         z[2, 5] = np.nan
-        surface = make_surface(z)
+        self._check_against_scalar_path(make_surface(z))
+        # 23 rows in blocks of 4 interior rows: six blocks, five seams
+        z = rng.uniform(0.05, 1.5, size=(23, 11))
+        z[7, 3] = z[16, 9] = np.nan
+        monkeypatch.setattr(geometry, "_BLOCK_POINTS", 4 * 11)
+        self._check_against_scalar_path(make_surface(z))
+
+    @staticmethod
+    def _check_against_scalar_path(surface):
         field = cg.compute_geometry_field(surface)
         grid = cg.prepare_grid(surface, field.options)
+        ny, nx = grid.shape
         checked = 0
-        for i in range(1, 8):
-            for j in range(1, 7):
+        for i in range(1, ny - 1):
+            for j in range(1, nx - 1):
                 if not field.valid[i, j]:
                     continue
                 tangents, cvs, normal, ncs = cg.compute_point_geometry(grid, i, j)
@@ -388,6 +400,90 @@ class TestComputeGeometryField:
         field = cg.compute_geometry_field(grid)
         assert field.valid.sum() > 0
         assert field.years[1] - field.years[0] == 0.5
+
+
+FIELD_ARRAYS = ("valid", "tangents", "curvature_vectors", "normals",
+                "normal_curvatures")
+
+
+def blocked_case(kind: str):
+    """37x23 gompertz-like rates with missing cells or a planted ridge."""
+    rng = np.random.default_rng(41)
+    t = np.arange(37)[:, None]
+    x = np.arange(23)[None, :]
+    rates = 0.001 * np.exp(0.08 * x) * (1.0 + 0.01 * rng.standard_normal((37, 23)))
+    if kind == "ridge":
+        return rates * (1.0 + 0.3 * np.exp(-(((t - x) - 10) / 1.5) ** 2))
+    rates[rng.integers(0, 37, 6), rng.integers(0, 23, 6)] = np.nan
+    return rates
+
+
+def one_huge_cell(ny: int, nx: int):
+    rates = 0.001 * np.exp(0.05 * np.arange(nx))[None, :] * np.ones((ny, 1))
+    rates[ny // 2, nx // 2] = 1e200  # squared chord lengths overflow here
+    return make_surface(rates)
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("kind, options", [
+        ("holes", None),
+        ("ridge", None),
+        ("holes", GeometryOptions(log_rates=True)),
+        ("ridge", GeometryOptions(z_scale=37.0)),
+    ])
+    def test_block_height_invariance(self, monkeypatch, kind, options):
+        surface = make_surface(blocked_case(kind))
+        ny, nx = surface.rates.shape
+        monkeypatch.setattr(geometry, "_BLOCK_POINTS", ny * nx + 1)
+        whole = cg.compute_geometry_field(surface, options)
+        assert whole.valid.any()
+        for points in (nx, 5 * nx, 7 * nx + 3):
+            monkeypatch.setattr(geometry, "_BLOCK_POINTS", points)
+            blocked = cg.compute_geometry_field(surface, options)
+            for name in FIELD_ARRAYS:
+                assert np.array_equal(getattr(blocked, name),
+                                      getattr(whole, name)), (points, name)
+
+    def test_more_threads_than_cores(self, monkeypatch):
+        # Blocks write disjoint slices of shared arrays; frequent thread
+        # switches with eight workers must not lose or mix any row.
+        surface = make_surface(blocked_case("holes"))
+        ny, nx = surface.rates.shape
+        monkeypatch.setattr(geometry, "_BLOCK_POINTS", ny * nx + 1)
+        whole = cg.compute_geometry_field(surface)
+        monkeypatch.setattr(geometry, "_BLOCK_POINTS", nx)
+        monkeypatch.setattr(geometry, "_worker_count", lambda n_blocks: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            blocked = cg.compute_geometry_field(surface)
+        finally:
+            sys.setswitchinterval(interval)
+        for name in FIELD_ARRAYS:
+            assert np.array_equal(getattr(blocked, name), getattr(whole, name)), name
+
+    def test_warnings_match_single_block(self, monkeypatch):
+        surface = one_huge_cell(400, 120)
+
+        def messages(points):
+            monkeypatch.setattr(geometry, "_BLOCK_POINTS", points)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                cg.compute_geometry_field(surface)
+            return {str(w.message) for w in caught
+                    if issubclass(w.category, RuntimeWarning)}
+
+        single = messages(400 * 120)
+        assert single
+        assert messages(32768) == single  # two blocks of 273 rows
+        assert messages(5 * 120) == single
+
+    def test_caller_errstate_reaches_blocks(self, monkeypatch):
+        surface = one_huge_cell(40, 12)
+        for points in (40 * 12, 3 * 12):
+            monkeypatch.setattr(geometry, "_BLOCK_POINTS", points)
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                cg.compute_geometry_field(surface)
 
 
 class TestFieldExport:

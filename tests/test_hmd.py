@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import io
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cohortgeo
 from cohortgeo import (
     FormatError,
     Sex,
@@ -94,6 +98,15 @@ class TestFormatErrors:
             (2000, 1, "0.1", "oops", "0.1"),
         ])
         with pytest.raises(FormatError, match="line 5.*oops"):
+            parse_hmd(text)
+
+    @pytest.mark.parametrize("token", ["nan", "NaN", "-nan"])
+    def test_nan_token_rejected(self, token):
+        text = make_hmd_text([
+            (2000, 0, "0.1", "0.1", "0.1"),
+            (2000, 1, "0.1", token, "."),
+        ])
+        with pytest.raises(FormatError, match="line 5.*'\\.'"):
             parse_hmd(text)
 
     def test_unparsable_age(self):
@@ -192,3 +205,20 @@ class TestLoadHmd:
         path.write_text(small_hmd_text)
         result = load_hmd(path)
         assert set(result.surfaces) == {Sex.FEMALE, Sex.MALE, Sex.TOTAL}
+
+    def test_reads_utf8_under_ascii_locale(self, small_hmd_text, tmp_path):
+        lines = small_hmd_text.splitlines(keepends=True)
+        lines[0] = "Österreich, Sterberaten (Periode 1x1)\n"
+        path = tmp_path / "AUT.Mx_1x1.txt"
+        path.write_bytes("".join(lines).encode("utf-8"))
+        src = os.path.dirname(os.path.dirname(cohortgeo.__file__))
+        env = dict(os.environ, PYTHONPATH=src, PYTHONUTF8="0",
+                   PYTHONCOERCECLOCALE="0", LC_ALL="C")
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from cohortgeo import load_hmd; "
+             "print(ascii(load_hmd(sys.argv[1]).title))", str(path)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == ascii("Österreich, Sterberaten (Periode 1x1)")

@@ -43,6 +43,12 @@ class TestSelfCheck:
         with pytest.raises(ValueError):
             cg.plane(1.0, 1.0, 0.0, domain=((5.0, 5.0), (0.0, 1.0)))
 
+    def test_surface_off_its_real_domain_rejected(self):
+        # a sphere of radius 5 is not real-valued over most of [0, 50]^2
+        with pytest.raises(ValueError, match="not finite") as info:
+            cg.sphere_cap(5.0, domain=((0.0, 50.0), (0.0, 50.0)))
+        assert "nan" not in str(info.value).lower()
+
     def test_catalog_members_construct(self):
         cg.plane(0.3, 0.7, 5.0)
         cg.sphere_cap(500.0)

@@ -124,6 +124,11 @@ class TestCsvMatrix:
         with pytest.raises(FormatError, match="row 2, column 1"):
             parse_csv_matrix("0.1,0.2\nbogus,0.4", first_year=2000, first_age=0)
 
+    @pytest.mark.parametrize("token", ["nan", "NaN", "-nan", "+NAN"])
+    def test_nan_token_rejected(self, token):
+        with pytest.raises(FormatError, match=f"row 1, column 2.*empty"):
+            parse_csv_matrix(f"0.1,{token},0.3", first_year=2000, first_age=0)
+
     def test_scientific_notation(self):
         s = parse_csv_matrix("1e-4,2.5E-3", first_year=2000, first_age=0)
         assert s.rate(2000, 0) == 1e-4
