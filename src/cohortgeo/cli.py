@@ -1,8 +1,14 @@
 """Command-line pipeline: ingest a mortality surface, run the geometry
 kernel, aggregate per cohort, and export series/reports/charts.
 
-Exit codes: 0 success, 2 input or configuration problems, 3 geometry
-failures, 4 analytics failures. Output files are written atomically
+``cei``, ``aice``, ``gaps`` and ``surface`` run one path
+(:func:`_run_pipeline`) that reads the parsed arguments directly; every
+subcommand builds its output as text and :func:`main` writes it once.
+
+Exit codes: 0 success, 2 input or configuration problems (including any
+``OSError`` from reading input or writing output, and a reversed
+``--window``/``--years``/``--ages`` range), 3 geometry failures, 4
+analytics failures. Output files are written atomically
 (temp file plus rename), so a failed run never leaves a partial artifact.
 Relative output paths are resolved against ``COHORTGEO_OUTPUT_DIR`` when
 that variable is set.
@@ -14,14 +20,13 @@ import argparse
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import analytics, smooth
 from .analytics import CEISeries, cei_series, detect_peaks, trim_series
 from .errors import AnalyticsError, GeometryError, IngestError
-from .geometry import GeometryField, GeometryOptions, compute_geometry_field
+from .geometry import GeometryOptions, compute_geometry_field
 from .hmd import load_hmd
 from .surface import MortalitySurface, Sex, parse_csv_matrix, serialize
 from .svgchart import render_series_chart
@@ -32,39 +37,6 @@ EXIT_GEOMETRY = 3
 EXIT_ANALYTICS = 4
 
 _OUTPUT_DIR_ENV = "COHORTGEO_OUTPUT_DIR"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated knobs shared by the pipeline subcommands."""
-
-    input_path: str | None = None
-    input_format: str = "hmd"
-    sex: Sex = Sex.TOTAL
-    first_year: int | None = None
-    first_age: int | None = None
-    z_scale: float = 1.0
-    log_rates: bool = False
-    window: tuple[int, int] = analytics.DEFAULT_WINDOW
-    trim_year: int | None = analytics.DEFAULT_TRIM_YEAR
-    normalization: str = "sum"
-    baseline_window: int = analytics.DEFAULT_BASELINE_WINDOW
-    threshold_ratio: float = analytics.DEFAULT_THRESHOLD_RATIO
-    output_format: str = "csv"
-    output_path: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.window[0] > self.window[1]:
-            raise ValueError(f"window {self.window} is reversed")
-        if not (self.z_scale > 0):
-            raise ValueError("z-scale must be positive")
-        if self.input_format not in ("hmd", "csv"):
-            raise ValueError(f"unknown input format {self.input_format!r}")
-        if self.normalization not in ("sum", "mean"):
-            raise ValueError(f"unknown normalization {self.normalization!r}")
-
-    def geometry_options(self) -> GeometryOptions:
-        return GeometryOptions(z_scale=self.z_scale, log_rates=self.log_rates)
 
 
 def _parse_year_range(text: str) -> tuple[int, int]:
@@ -136,33 +108,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_cei = sub.add_parser("cei", help="export the cohort effect index series")
-    _add_input_args(p_cei)
-    _add_geometry_args(p_cei)
-    _add_series_args(p_cei)
-    _add_window_args(p_cei)
-    _add_output_args(p_cei, ("csv", "json", "svg"), "csv")
-
-    p_aice = sub.add_parser("aice", help="aggregate index (coefficient of variation)")
-    _add_input_args(p_aice)
-    _add_geometry_args(p_aice)
-    _add_series_args(p_aice)
-    _add_window_args(p_aice)
-    _add_output_args(p_aice, ("csv", "json"), "csv")
-
-    p_gaps = sub.add_parser("gaps", help="detect peaks and generation gaps")
-    _add_input_args(p_gaps)
-    _add_geometry_args(p_gaps)
-    _add_series_args(p_gaps)
-    _add_window_args(p_gaps)
-    p_gaps.add_argument("--baseline-window", type=int,
-                        default=analytics.DEFAULT_BASELINE_WINDOW,
-                        help="rolling-median width in years (default: 11)")
-    p_gaps.add_argument("--threshold", type=float,
-                        default=analytics.DEFAULT_THRESHOLD_RATIO,
-                        dest="threshold_ratio",
-                        help="peak threshold over baseline (default: 1.25)")
-    _add_output_args(p_gaps, ("csv", "json"), "csv")
+    for name, help_text, formats in (
+            ("cei", "export the cohort effect index series", ("csv", "json", "svg")),
+            ("aice", "aggregate index (coefficient of variation)", ("csv", "json")),
+            ("gaps", "detect peaks and generation gaps", ("csv", "json"))):
+        p = sub.add_parser(name, help=help_text)
+        _add_input_args(p)
+        _add_geometry_args(p)
+        _add_series_args(p)
+        _add_window_args(p)
+        if name == "gaps":
+            p.add_argument("--baseline-window", type=int,
+                           default=analytics.DEFAULT_BASELINE_WINDOW,
+                           help="rolling-median width in years (default: 11)")
+            p.add_argument("--threshold", type=float,
+                           default=analytics.DEFAULT_THRESHOLD_RATIO,
+                           dest="threshold_ratio",
+                           help="peak threshold over baseline (default: 1.25)")
+        _add_output_args(p, formats, "csv")
 
     p_surface = sub.add_parser("surface", help="dump the pointwise geometry field")
     _add_input_args(p_surface)
@@ -214,31 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    if getattr(args, "input_format", "hmd") == "csv":
-        if args.first_year is None or args.first_age is None:
-            raise ValueError("csv input needs --first-year and --first-age")
-    return RunConfig(
-        input_path=getattr(args, "input", None),
-        input_format=getattr(args, "input_format", "hmd"),
-        sex=Sex(getattr(args, "sex", "total")),
-        first_year=getattr(args, "first_year", None),
-        first_age=getattr(args, "first_age", None),
-        z_scale=getattr(args, "z_scale", 1.0),
-        log_rates=getattr(args, "log_rates", False),
-        window=tuple(getattr(args, "window", analytics.DEFAULT_WINDOW)),
-        trim_year=(None if getattr(args, "no_trim", False)
-                   else getattr(args, "trim_year", analytics.DEFAULT_TRIM_YEAR)),
-        normalization=getattr(args, "normalization", "sum"),
-        baseline_window=getattr(args, "baseline_window",
-                                analytics.DEFAULT_BASELINE_WINDOW),
-        threshold_ratio=getattr(args, "threshold_ratio",
-                                analytics.DEFAULT_THRESHOLD_RATIO),
-        output_format=getattr(args, "output_format", "csv"),
-        output_path=getattr(args, "output_path", None),
-    )
-
-
 def _resolve_output_path(path: str) -> str:
     base = os.environ.get(_OUTPUT_DIR_ENV)
     if base and not os.path.isabs(path):
@@ -268,78 +206,48 @@ def _emit(text: str, output_path: str | None) -> None:
         raise
 
 
-def _load_surface(cfg: RunConfig) -> MortalitySurface:
-    assert cfg.input_path is not None
-    if cfg.input_format == "hmd":
-        return load_hmd(cfg.input_path, sex=cfg.sex)
-    with open(cfg.input_path, "r", encoding="utf-8") as fh:
+def _load_surface(args: argparse.Namespace) -> MortalitySurface:
+    sex = Sex(args.sex)
+    if args.input_format == "hmd":
+        return load_hmd(args.input, sex=sex)
+    if args.first_year is None or args.first_age is None:
+        raise ValueError("csv input needs --first-year and --first-age")
+    with open(args.input, "r", encoding="utf-8") as fh:
         text = fh.read()
-    return parse_csv_matrix(
-        text,
-        first_year=int(cfg.first_year),  # validated in _config_from_args
-        first_age=int(cfg.first_age),
-        sex=cfg.sex,
-        source_label=os.path.basename(cfg.input_path),
-    )
+    return parse_csv_matrix(text, first_year=args.first_year,
+                            first_age=args.first_age, sex=sex,
+                            source_label=os.path.basename(args.input))
 
 
-def _compute_field(cfg: RunConfig) -> tuple[MortalitySurface, GeometryField]:
-    surface = _load_surface(cfg)
-    field = compute_geometry_field(surface, cfg.geometry_options())
-    return surface, field
-
-
-def _compute_series(cfg: RunConfig) -> CEISeries:
-    surface, field = _compute_field(cfg)
-    series = cei_series(field, surface, normalization=cfg.normalization)
-    if cfg.trim_year is not None:
-        series = trim_series(series, cfg.trim_year)
-    return series
-
-
-def cmd_cei(cfg: RunConfig) -> int:
-    series = _compute_series(cfg)
-    if cfg.output_format == "csv":
-        _emit(series.to_csv(), cfg.output_path)
-    elif cfg.output_format == "json":
-        _emit(series.to_json(), cfg.output_path)
+def _run_pipeline(args: argparse.Namespace) -> str:
+    """Ingest, geometry and aggregation shared by ``cei``, ``aice``, ``gaps``
+    and ``surface``; returns the subcommand's product as text."""
+    options = GeometryOptions(z_scale=args.z_scale, log_rates=args.log_rates)
+    surface = _load_surface(args)
+    field = compute_geometry_field(surface, options)
+    if args.command == "surface":
+        product = field
     else:
-        _emit(render_series_chart([series], window=cfg.window,
-                                  title=series.source_label),
-              cfg.output_path)
-    return EXIT_OK
-
-
-def cmd_aice(cfg: RunConfig) -> int:
-    series = _compute_series(cfg)
-    report = analytics.aice(series, cfg.window)
-    text = report.to_csv() if cfg.output_format == "csv" else report.to_json()
-    _emit(text, cfg.output_path)
-    return EXIT_OK
-
-
-def cmd_gaps(cfg: RunConfig) -> int:
-    series = _compute_series(cfg)
-    report = detect_peaks(series, cfg.window,
-                          baseline_window=cfg.baseline_window,
-                          threshold_ratio=cfg.threshold_ratio)
-    text = report.to_csv() if cfg.output_format == "csv" else report.to_json()
-    _emit(text, cfg.output_path)
-    return EXIT_OK
-
-
-def cmd_surface(cfg: RunConfig) -> int:
-    _, field = _compute_field(cfg)
-    text = field.to_csv() if cfg.output_format == "csv" else field.to_json()
-    _emit(text, cfg.output_path)
-    return EXIT_OK
+        series = cei_series(field, surface, normalization=args.normalization)
+        if not args.no_trim:
+            series = trim_series(series, args.trim_year)
+        if args.command == "aice":
+            product = analytics.aice(series, args.window)
+        elif args.command == "gaps":
+            product = detect_peaks(series, args.window,
+                                   baseline_window=args.baseline_window,
+                                   threshold_ratio=args.threshold_ratio)
+        elif args.output_format == "svg":
+            return render_series_chart([series], window=args.window,
+                                       title=series.source_label)
+        else:
+            product = series
+    return product.to_csv() if args.output_format == "csv" else product.to_json()
 
 
 def _synthetic_surface(args: argparse.Namespace) -> MortalitySurface:
     (y0, y1) = args.years
     (a0, a1) = args.ages
-    if y1 < y0 or a1 < a0:
-        raise ValueError("year/age ranges must be increasing")
     years = np.arange(y0, y1 + 1)
     ages = np.arange(a0, a1 + 1)
     # domain padded by one step so 3-point stencils at the edge stay inside
@@ -368,14 +276,11 @@ def _synthetic_surface(args: argparse.Namespace) -> MortalitySurface:
     return smooth.materialize_mortality_surface(surf, years, ages)
 
 
-def cmd_synthetic(args: argparse.Namespace) -> int:
-    surface = _synthetic_surface(args)
-    text = serialize(surface, args.output_format)
-    _emit(text, args.output_path)
-    return EXIT_OK
+def cmd_synthetic(args: argparse.Namespace) -> str:
+    return serialize(_synthetic_surface(args), args.output_format)
 
 
-def cmd_plot(args: argparse.Namespace) -> int:
+def cmd_plot(args: argparse.Namespace) -> str:
     series_list = []
     labels = []
     for path in args.inputs:
@@ -393,27 +298,28 @@ def cmd_plot(args: argparse.Namespace) -> int:
             peaks = report.peaks
         except AnalyticsError:
             peaks = None  # window/series too short to annotate; chart anyway
-    text = render_series_chart(series_list, width=args.width, height=args.height,
+    return render_series_chart(series_list, width=args.width, height=args.height,
                                title=args.title, window=window, peaks=peaks,
                                labels=labels)
-    _emit(text, args.output_path)
-    return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in ("window", "years", "ages"):
+            lo, hi = getattr(args, flag, (0, 0))
+            if lo > hi:
+                raise ValueError(f"--{flag} {lo}:{hi} is reversed")
         if args.command == "synthetic":
-            return cmd_synthetic(args)
-        if args.command == "plot":
-            return cmd_plot(args)
-        cfg = _config_from_args(args)
-        handler = {"cei": cmd_cei, "aice": cmd_aice,
-                   "gaps": cmd_gaps, "surface": cmd_surface}[args.command]
-        return handler(cfg)
-    except (IngestError, FileNotFoundError, IsADirectoryError,
-            PermissionError, ValueError) as exc:
+            text = cmd_synthetic(args)
+        elif args.command == "plot":
+            text = cmd_plot(args)
+        else:
+            text = _run_pipeline(args)
+        _emit(text, args.output_path)
+        return EXIT_OK
+    except (IngestError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except GeometryError as exc:

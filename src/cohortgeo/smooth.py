@@ -113,16 +113,6 @@ class AnalyticSurface:
         return np.stack([-ft / w, -fx / w, np.ones_like(ft) / w], axis=-1)
 
 
-@dataclass(frozen=True)
-class SmoothCurvatureSample:
-    """Normal curvature of the surface at one point along one direction."""
-
-    point: tuple[float, float]
-    normal: tuple[float, float, float]
-    direction: tuple[float, float]
-    normal_curvature: float
-
-
 def smooth_normal_curvature(surface: AnalyticSurface, point, direction) -> float:
     """Exact normal curvature at ``point`` along a (t, x) direction.
 
@@ -147,17 +137,6 @@ def _nc_dir(surface: AnalyticSurface, t, x, dt, dx):
     first_form = dt * dt + dx * dx + dz * dz
     w = np.sqrt(1.0 + ft * ft + fx * fx)
     return num / (first_form * w)
-
-
-def sample_curvature(surface: AnalyticSurface, point, direction) -> SmoothCurvatureSample:
-    t, x = float(point[0]), float(point[1])
-    n = surface.normal(t, x)
-    return SmoothCurvatureSample(
-        point=(t, x),
-        normal=(float(n[0]), float(n[1]), float(n[2])),
-        direction=(float(direction[0]), float(direction[1])),
-        normal_curvature=smooth_normal_curvature(surface, point, direction),
-    )
 
 
 def cohort_cross_direction(surface: AnalyticSurface, t, x):

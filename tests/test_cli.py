@@ -9,6 +9,18 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from cohortgeo import (
+    GeometryOptions,
+    Sex,
+    aice,
+    cei_series,
+    compute_geometry_field,
+    detect_peaks,
+    parse_csv_matrix,
+    render_series_chart,
+    trim_series,
+)
+from cohortgeo.analytics import DEFAULT_TRIM_YEAR, DEFAULT_WINDOW
 from cohortgeo.cli import main
 from conftest import make_hmd_text
 
@@ -27,6 +39,15 @@ def ridge_csv(tmp_path):
                "-o", str(path))
     assert code == 0
     return path
+
+
+@pytest.fixture
+def series_csv(ridge_csv, tmp_path):
+    out = tmp_path / "series.csv"
+    assert run("cei", str(ridge_csv), "--input-format", "csv",
+               "--first-year", "1900", "--first-age", "0",
+               "-o", str(out)) == 0
+    return out
 
 
 def read_series_csv(text: str) -> dict[int, float]:
@@ -63,9 +84,17 @@ class TestSynthetic:
         obj = json.loads(capsys.readouterr().out)
         assert obj["years"] == [2000, 2001, 2002, 2003, 2004]
 
-    def test_reversed_range_rejected(self):
-        assert run("synthetic", "--shape", "plane", "--years", "1950:1900",
-                   "--ages", "0:10") == 2
+    @pytest.mark.parametrize("argv", [
+        ("synthetic", "--shape", "plane", "--years", "1950:1900", "--ages", "0:10"),
+        ("synthetic", "--shape", "plane", "--years", "1900:1950", "--ages", "10:0"),
+        ("cei", "{ridge}", "--input-format", "csv", "--first-year", "1900",
+         "--first-age", "0", "--window", "1950:1900"),
+        ("plot", "{series}", "--window", "1950:1900"),
+    ], ids=["years", "ages", "cei-window", "plot-window"])
+    def test_reversed_range_rejected(self, argv, ridge_csv, series_csv, capsys):
+        argv = [a.format(ridge=ridge_csv, series=series_csv) for a in argv]
+        assert run(*argv) == 2
+        assert "is reversed" in capsys.readouterr().err
 
 
 class TestCei:
@@ -106,6 +135,11 @@ class TestCei:
         missing = tmp_path / "nope.txt"
         assert run("cei", str(missing)) == 2
         assert "nope.txt" in capsys.readouterr().err
+
+    def test_input_below_a_file_exit_2(self, ridge_csv, capsys):
+        assert run("cei", str(ridge_csv / "x"), "--input-format", "csv",
+                   "--first-year", "1900", "--first-age", "0") == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_csv_without_axis_flags_exit_2(self, ridge_csv):
         assert run("cei", str(ridge_csv), "--input-format", "csv") == 2
@@ -190,14 +224,6 @@ class TestSurfaceDump:
 
 
 class TestPlot:
-    @pytest.fixture
-    def series_csv(self, ridge_csv, tmp_path):
-        out = tmp_path / "series.csv"
-        assert run("cei", str(ridge_csv), "--input-format", "csv",
-                   "--first-year", "1900", "--first-age", "0",
-                   "-o", str(out)) == 0
-        return out
-
     def test_svg_structure(self, series_csv, tmp_path):
         out = tmp_path / "chart.svg"
         assert run("plot", str(series_csv), "--title", "a<b&c",
@@ -283,6 +309,65 @@ class TestOutputHandling:
                    "--first-year", "1900", "--first-age", "0",
                    "-o", str(out)) == 0
         assert out.exists()
+
+    def test_output_below_a_file_exit_2(self, ridge_csv, capsys):
+        assert run("cei", str(ridge_csv), "--input-format", "csv",
+                   "--first-year", "1900", "--first-age", "0",
+                   "-o", str(ridge_csv / "series.csv")) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def library_text(path, command, fmt, z_scale=1.0, log_rates=False,
+                 normalization="sum", trim=True) -> str:
+    """The pipeline run in-process through the public API, for comparison."""
+    surface = parse_csv_matrix(path.read_text(encoding="utf-8"), first_year=1900,
+                               first_age=0, sex=Sex.TOTAL, source_label=path.name)
+    field = compute_geometry_field(surface, GeometryOptions(z_scale=z_scale,
+                                                            log_rates=log_rates))
+    if command == "surface":
+        product = field
+    else:
+        product = cei_series(field, surface, normalization=normalization)
+        if trim:
+            product = trim_series(product, DEFAULT_TRIM_YEAR)
+        if command == "aice":
+            product = aice(product, DEFAULT_WINDOW)
+        elif command == "gaps":
+            product = detect_peaks(product, DEFAULT_WINDOW)
+        elif fmt == "svg":
+            return render_series_chart([product], window=DEFAULT_WINDOW,
+                                       title=product.source_label)
+    return product.to_csv() if fmt == "csv" else product.to_json()
+
+
+@pytest.mark.parametrize("command, fmt, flags, options", [
+    ("cei", "csv", (), {}),
+    ("cei", "json", (), {}),
+    ("cei", "svg", (), {}),
+    ("aice", "csv", (), {}),
+    ("aice", "json", (), {}),
+    ("gaps", "csv", (), {}),
+    ("gaps", "json", (), {}),
+    ("surface", "csv", (), {}),
+    ("surface", "json", (), {}),
+    ("cei", "csv", ("--log",), {"log_rates": True}),
+    ("gaps", "json", ("--log",), {"log_rates": True}),
+    ("surface", "csv", ("--log",), {"log_rates": True}),
+    ("cei", "csv", ("--z-scale", "1000"), {"z_scale": 1000.0}),
+    ("aice", "json", ("--z-scale", "1000"), {"z_scale": 1000.0}),
+    ("surface", "json", ("--z-scale", "1000"), {"z_scale": 1000.0}),
+    ("cei", "json", ("--normalization", "mean"), {"normalization": "mean"}),
+    ("aice", "csv", ("--normalization", "mean"), {"normalization": "mean"}),
+    ("cei", "csv", ("--no-trim",), {"trim": False}),
+    ("gaps", "csv", ("--no-trim",), {"trim": False}),
+])
+def test_cli_bytes_equal_library_bytes(ridge_csv, capsys, command, fmt, flags,
+                                       options):
+    assert run(command, str(ridge_csv), "--input-format", "csv",
+               "--first-year", "1900", "--first-age", "0",
+               "--format", fmt, *flags) == 0
+    assert capsys.readouterr().out == library_text(ridge_csv, command, fmt,
+                                                   **options)
 
 
 class TestConsoleScript:

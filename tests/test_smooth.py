@@ -121,14 +121,6 @@ class TestNormalCurvature:
         w = math.sqrt(1 + ft * ft + fx * fx)
         assert np.allclose(n, (-ft / w, -fx / w, 1 / w), atol=1e-14)
 
-    def test_sample_record(self):
-        from cohortgeo.smooth import sample_curvature
-
-        surf = cg.sphere_cap(100.0)
-        sample = sample_curvature(surf, (3.0, 4.0), (1, 1))
-        assert abs(np.linalg.norm(sample.normal) - 1.0) < 1e-12
-        assert math.isfinite(sample.normal_curvature)
-
 
 class TestCrossDirection:
     def test_plane_z_equals_t(self):
