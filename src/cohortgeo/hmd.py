@@ -9,10 +9,12 @@ Expected layout::
       ...
       1922          110+            0.519479       0.306375         0.478723
 
-Rows are whitespace separated. The open age group ``110+`` is stored as a
-regular age-110 column (more generally, a trailing ``+`` is stripped), and
-the missing-value token ``.`` becomes an explicitly flagged missing cell.
-One parse yields three surfaces, one per sex column.
+Rows are whitespace separated and may come in any order, with blank lines
+between them. The open age group ``110+`` is stored as a regular age-110
+column (more generally, a trailing ``+`` is stripped), and the missing-value
+token ``.`` becomes an explicitly flagged missing cell. One parse fills one
+``(3, years, ages)`` rate array; the three surfaces, one per sex column,
+are its slices.
 
 The parser is total over valid files: every line is either consumed as
 title/blank/header/data or triggers an error naming its line number, and
@@ -21,7 +23,6 @@ the returned row accounting lets callers verify nothing was dropped.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -84,7 +85,7 @@ def parse_hmd(source: str | IO[str]) -> HmdParseResult:
 
     Raises :class:`FormatError` for malformed lines (naming the line
     number) and :class:`StructuralError` for duplicate (year, age) rows,
-    non-contiguous year blocks, or years covering different age ranges.
+    gaps in years or ages, uneven age ranges, or axes beyond int64.
     """
     text = source if isinstance(source, str) else source.read()
     lines = text.splitlines()
@@ -102,79 +103,73 @@ def parse_hmd(source: str | IO[str]) -> HmdParseResult:
             f"expected {' '.join(_HEADER_COLUMNS)!r}"
         )
 
-    cells: dict[tuple[int, int], tuple[float, float, float]] = {}
-    ages_by_year: dict[int, set[int]] = {}
-    year_order: list[int] = []
-    data_rows = 0
+    rows: dict[tuple[int, int], tuple[float, float, float]] = {}
     skipped_blank = 0
-    for offset, line in enumerate(lines[3:], start=4):
+    for lineno, line in enumerate(lines[3:], start=4):
         tokens = line.split()
         if not tokens:
             skipped_blank += 1
             continue
         if len(tokens) != 5:
             raise FormatError(
-                f"line {offset}: expected 5 fields (Year Age Female Male Total), "
+                f"line {lineno}: expected 5 fields (Year Age Female Male Total), "
                 f"got {len(tokens)}"
             )
         try:
             year = int(tokens[0])
         except ValueError:
-            raise FormatError(f"line {offset}: unparsable year {tokens[0]!r}") from None
-        age = _parse_age(tokens[1], offset)
-        values = tuple(_parse_value(tok, offset) for tok in tokens[2:5])
-        key = (year, age)
-        if key in cells:
-            raise StructuralError(f"line {offset}: duplicate row for year {year}, age {age}")
-        cells[key] = values
-        if year not in ages_by_year:
-            ages_by_year[year] = set()
-            year_order.append(year)
-        ages_by_year[year].add(age)
-        data_rows += 1
-    if not cells:
+            raise FormatError(f"line {lineno}: unparsable year {tokens[0]!r}") from None
+        key = (year, _parse_age(tokens[1], lineno))
+        values = tuple(_parse_value(token, lineno) for token in tokens[2:])
+        if key in rows:
+            raise StructuralError(
+                f"line {lineno}: duplicate row for year {year}, age {key[1]}")
+        rows[key] = values
+    if not rows:
         raise FormatError("no data rows found")
 
-    years = sorted(ages_by_year)
-    if years != list(range(years[0], years[-1] + 1)):
-        raise StructuralError(f"non-contiguous years: {years[0]}..{years[-1]} has gaps")
-    age_sets = [ages_by_year[y] for y in years]
-    first_ages = sorted(age_sets[0])
-    if first_ages != list(range(first_ages[0], first_ages[-1] + 1)):
+    try:
+        year_col, age_col = np.array(list(rows), dtype=np.int64).T
+    except OverflowError:
+        raise StructuralError("years and ages must fit in a 64-bit integer") from None
+    y0, y1 = year_col.min(), year_col.max()
+    n_years = int(y1) - int(y0) + 1
+    # A span longer than the row count has gaps; ruling that out first
+    # keeps the offsets small. Within it, a year without rows counts zero.
+    if n_years > len(rows) or not (
+            counts := np.bincount(year_col - y0, minlength=n_years)).all():
+        raise StructuralError(f"non-contiguous years: {y0}..{y1} has gaps")
+    first_ages = age_col[year_col == y0]
+    a0, a1 = first_ages.min(), first_ages.max()
+    n_ages = int(a1) - int(a0) + 1
+    if n_ages != first_ages.size:
+        raise StructuralError(f"non-contiguous ages {a0}..{a1} for year {y0}")
+    # Rows are unique, so a year covers the first year's ages exactly when
+    # it has as many rows and none outside their span.
+    uneven = counts != n_ages
+    uneven[year_col[(age_col < a0) | (age_col > a1)] - y0] = True
+    if uneven.any():
         raise StructuralError(
-            f"non-contiguous ages {first_ages[0]}..{first_ages[-1]} for year {years[0]}"
-        )
-    for y, ages in zip(years, age_sets):
-        if ages != age_sets[0]:
-            raise StructuralError(
-                f"year {y} covers different ages than year {years[0]}"
-            )
+            f"year {y0 + uneven.argmax()} covers different ages than year {y0}")
 
-    year_arr = np.arange(years[0], years[-1] + 1)
-    age_arr = np.arange(first_ages[0], first_ages[-1] + 1)
-    matrices = {sex: np.full((year_arr.size, age_arr.size), np.nan) for sex in Sex}
-    for (year, age), (f, m, t) in cells.items():
-        i = year - years[0]
-        j = age - first_ages[0]
-        matrices[Sex.FEMALE][i, j] = f
-        matrices[Sex.MALE][i, j] = m
-        matrices[Sex.TOTAL][i, j] = t
-
+    # Every cell is written: the checks above make rows a bijection onto the grid.
+    cube = np.empty((3, n_years, n_ages))
+    cube[:, year_col - y0, age_col - a0] = np.array(list(rows.values())).T
     surfaces = {
         sex: MortalitySurface(
-            years=year_arr,
-            ages=age_arr,
-            rates=matrices[sex],
+            years=y0 + np.arange(n_years),
+            ages=a0 + np.arange(n_ages),
+            rates=cube[k],
             sex=sex,
             source_label=title,
         )
-        for sex in Sex
+        for k, sex in enumerate(Sex)
     }
     return HmdParseResult(
         surfaces=surfaces,
         title=title,
         line_count=len(lines),
-        data_row_count=data_rows,
+        data_row_count=len(rows),
         skipped_blank_lines=skipped_blank,
     )
 
@@ -185,8 +180,7 @@ def load_hmd(path: str | Path, sex: Sex | str | None = None):
     With ``sex`` given, returns that single surface; otherwise the full
     :class:`HmdParseResult`.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    result = parse_hmd(io.StringIO(text))
+    result = parse_hmd(Path(path).read_text(encoding="utf-8"))
     if sex is None:
         return result
     return result.surfaces[Sex(sex)]

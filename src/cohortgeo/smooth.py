@@ -184,16 +184,8 @@ def smooth_cei(
         tm = a + (np.arange(n) + 0.5) * ((b - a) / n)
         xm = tm - c
         nc_t = _nc_dir(surface, tm, xm, 1.0, 1.0)
-        dn_t, dn_x = cohort_cross_direction(surface, tm, xm)
-        ft = surface.f_t(tm, xm)
-        fx = surface.f_x(tm, xm)
-        num = (dn_t * dn_t * surface.f_tt(tm, xm)
-               + 2.0 * dn_t * dn_x * surface.f_tx(tm, xm)
-               + dn_x * dn_x * surface.f_xx(tm, xm))
-        dz = ft * dn_t + fx * dn_x
-        w = np.sqrt(1.0 + ft * ft + fx * fx)
-        nc_n = num / ((dn_t * dn_t + dn_x * dn_x + dz * dz) * w)
-        speed = np.sqrt(2.0 + (ft + fx) ** 2)
+        nc_n = _nc_dir(surface, tm, xm, *cohort_cross_direction(surface, tm, xm))
+        speed = np.sqrt(2.0 + (surface.f_t(tm, xm) + surface.f_x(tm, xm)) ** 2)
         return float(np.sum(np.abs(nc_t - nc_n) * speed) * ((b - a) / n))
 
     if quadrature_step is None:

@@ -23,6 +23,7 @@ import csv
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -42,13 +43,17 @@ def _as_contiguous_int_axis(values: Iterable[int], what: str) -> np.ndarray:
     arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values)
     if arr.ndim != 1 or arr.size == 0:
         raise StructuralError(f"{what} must be a nonempty 1-D sequence")
-    if not np.issubdtype(arr.dtype, np.integer):
-        if not np.all(arr == np.rint(arr)):
+    if arr.dtype.kind != "i":
+        # Floats, unsigned ints and Python ints beyond 64 bits (object arrays).
+        items = arr.tolist()
+        if not all(isinstance(v, numbers.Integral)
+                   or (isinstance(v, float) and v.is_integer()) for v in items):
             raise StructuralError(f"{what} must be integers")
-        arr = arr.astype(np.int64)
-    else:
-        arr = arr.astype(np.int64)
-    if arr.size > 1 and not np.all(np.diff(arr) == 1):
+        if not all(-2**63 <= v < 2**63 for v in items):
+            raise StructuralError(f"{what} must fit in a 64-bit integer")
+    arr = arr.astype(np.int64)
+    # The last test catches steps of 1 that wrapped around the int64 range.
+    if arr.size > 1 and not (np.all(np.diff(arr) == 1) and arr[-1] > arr[0]):
         raise StructuralError(f"{what} must be strictly increasing with step 1")
     return arr
 

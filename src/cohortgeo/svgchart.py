@@ -9,9 +9,9 @@ platforms.
 
 from __future__ import annotations
 
+import html
 import math
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 from .analytics import CEISeries, Peak
 
@@ -107,7 +107,7 @@ def render_series_chart(
     if title:
         parts.append(
             f'<text x="{_fmt(width / 2)}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{escape(title)}</text>'
+            f'font-family="sans-serif" font-size="14">{html.escape(title, quote=False)}</text>'
         )
 
     if window is not None:
@@ -207,7 +207,7 @@ def render_series_chart(
         )
         parts.append(
             f'<text x="{_fmt(x0 + 36)}" y="{_fmt(ly)}" font-family="sans-serif" '
-            f'font-size="11" fill="#222222">{escape(text)}</text>'
+            f'font-size="11" fill="#222222">{html.escape(text, quote=False)}</text>'
         )
 
     parts.append("</svg>")

@@ -13,6 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cohortgeo
+
 # Preferred filename prefixes per country; first match wins.
 HMD_COUNTRY_PATTERNS = {
     "UK": ("GBR_NP", "GBRTENW", "GBR"),
@@ -53,6 +55,12 @@ def require_hmd_file(country: str) -> Path:
     if path is None:
         pytest.skip(HMD_SKIP_MESSAGE.format(country=country))
     return path
+
+
+def package_env(**overrides) -> dict[str, str]:
+    """Environment for a child Python that imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(cohortgeo.__file__))
+    return dict(os.environ, PYTHONPATH=src, **overrides)
 
 
 def make_hmd_text(rows, title="Testland, Death rates (period 1x1)",

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from cohortgeo import (
+    CEISeries,
     GeometryOptions,
     Sex,
     aice,
@@ -22,7 +23,7 @@ from cohortgeo import (
 )
 from cohortgeo.analytics import DEFAULT_TRIM_YEAR, DEFAULT_WINDOW
 from cohortgeo.cli import main
-from conftest import make_hmd_text
+from conftest import make_hmd_text, package_env
 
 
 def run(*argv) -> int:
@@ -157,6 +158,24 @@ class TestCei:
                    "--first-year", "2000", "--first-age", "0") == 2
         assert "'nan'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows", [
+        [(y, a) for y in (1900, 10**12) for a in (0, 1)],
+        [(y, a) for y in (1900, 1901) for a in (0, 10**12)],
+        [(10**20 + y, a) for y in range(3) for a in range(3)],
+    ], ids=["far-apart-years", "far-apart-ages", "years-beyond-int64"])
+    def test_unrepresentable_hmd_axes_exit_2(self, rows, tmp_path, capsys):
+        path = tmp_path / "far.Mx_1x1.txt"
+        path.write_text(make_hmd_text([(y, a, "0.1", "0.1", "0.1") for y, a in rows]))
+        assert run("cei", str(path)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("axis", ["--first-year", "--first-age"])
+    def test_csv_axis_beyond_int64_exit_2(self, ridge_csv, axis, capsys):
+        flags = ["--first-year", "1900", "--first-age", "0"]
+        flags[flags.index(axis) + 1] = str(10**20)
+        assert run("cei", str(ridge_csv), "--input-format", "csv", *flags) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_trim_before_series_exit_4(self, ridge_csv):
         assert run("cei", str(ridge_csv), "--input-format", "csv",
                    "--first-year", "1900", "--first-age", "0",
@@ -235,6 +254,14 @@ class TestPlot:
         assert root.get("version") == "1.1"
         texts = [el.text for el in root.findall(f".//{ns}text")]
         assert "a<b&c" in texts
+
+    def test_title_and_legend_text_escaped(self):
+        series = CEISeries(birth_years=np.arange(1900, 1905), values=np.ones(5),
+                           point_counts=np.ones(5, dtype=int))
+        label = "C\u00f4te \"d\" & <Ivoire> 'x'"
+        svg = render_series_chart([series], title=label, labels=[label])
+        escaped = "C\u00f4te \"d\" &amp; &lt;Ivoire&gt; 'x'</text>"
+        assert svg.count(escaped) == 2
 
     def test_two_series_two_polylines(self, series_csv, tmp_path):
         other = tmp_path / "other.csv"
@@ -382,7 +409,7 @@ class TestConsoleScript:
             [sys.executable, "-m", "cohortgeo.cli", "cei", str(surface_path),
              "--input-format", "csv", "--first-year", "2000",
              "--first-age", "0", "--no-trim"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=package_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("birth_year,cei,point_count")

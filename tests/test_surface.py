@@ -74,6 +74,31 @@ class TestConstruction:
                 source_label="",
             )
 
+    @pytest.mark.parametrize("years", [
+        [10**20, 10**20 + 1],                           # Python ints, object dtype
+        np.array([2**63, 2**63 + 1], dtype=np.uint64),
+        [1e20, 1e20 + 2**17],
+        [2**63 - 1, 2**63],                             # numpy falls back to float
+    ], ids=["python-int", "uint64", "float", "int64-edge"])
+    def test_years_beyond_int64_rejected(self, years):
+        with pytest.raises(StructuralError, match="years must fit in a 64-bit integer"):
+            MortalitySurface(years=years, ages=[0, 1],
+                             rates=[[0.1, 0.2], [0.3, 0.4]], sex=Sex.TOTAL,
+                             source_label="")
+
+    def test_years_wrapping_around_int64_rejected(self):
+        with pytest.raises(StructuralError, match="strictly increasing with step 1"):
+            MortalitySurface(years=[2**63 - 1, -2**63], ages=[0, 1],
+                             rates=[[0.1, 0.2], [0.3, 0.4]], sex=Sex.TOTAL,
+                             source_label="")
+
+    @pytest.mark.parametrize("ages", [["0", "1"], [0, None]])
+    def test_non_numeric_ages_rejected(self, ages):
+        with pytest.raises(StructuralError, match="ages must be integers"):
+            MortalitySurface(years=[2000, 2001], ages=ages,
+                             rates=[[0.1, 0.2], [0.3, 0.4]], sex=Sex.TOTAL,
+                             source_label="")
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(StructuralError):
             MortalitySurface(
