@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Iterator
 
 import numpy as np
@@ -39,10 +39,6 @@ DEFAULT_TRIM_YEAR = 1970
 DEFAULT_WINDOW = (1922, 1970)
 DEFAULT_BASELINE_WINDOW = 11
 DEFAULT_THRESHOLD_RATIO = 1.25
-
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,28 +115,23 @@ class CEISeries:
         """Series with every value multiplied by k > 0 (counts unchanged)."""
         if not (k > 0):
             raise ValueError("scale factor must be positive")
-        return CEISeries(
-            birth_years=self.birth_years.copy(),
-            values=self.values * k,
-            point_counts=self.point_counts.copy(),
-            sex=self.sex,
-            source_label=self.source_label,
-            options_label=self.options_label,
-        )
+        return replace(self, values=self.values * k)
 
     def to_csv(self) -> str:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["birth_year", "cei", "point_count"])
         for y, v, n in self:
-            writer.writerow([y, _fmt(v), n])
+            writer.writerow([y, repr(float(v)), n])
         return out.getvalue()
 
     @classmethod
     def from_csv(cls, text: str, sex: Sex | None = None,
                  source_label: str = "", options_label: str = "") -> "CEISeries":
-        rows = list(csv.reader(io.StringIO(text)))
-        rows = [r for r in rows if r]
+        try:
+            rows = [r for r in csv.reader(io.StringIO(text)) if r]
+        except csv.Error as exc:
+            raise ValueError(f"malformed series CSV: {exc}") from None
         if not rows or [c.strip() for c in rows[0]] != ["birth_year", "cei", "point_count"]:
             raise ValueError("expected header 'birth_year,cei,point_count'")
         years, values, counts = [], [], []
@@ -203,28 +194,7 @@ class CohortReport:
     max_gap: int | None = None
 
     def to_json(self) -> str:
-        obj: dict = {
-            "window": [int(self.window[0]), int(self.window[1])],
-            "mean": self.mean,
-            "sample_stdev": self.sample_stdev,
-            "aice": self.aice,
-        }
-        if self.peaks is None:
-            obj["peaks"] = None
-            obj["min_gap"] = obj["max_gap"] = None
-        else:
-            obj["peaks"] = [
-                {
-                    "start_year": p.start_year,
-                    "end_year": p.end_year,
-                    "width_years": p.width_years,
-                    "max_cei": p.max_cei,
-                }
-                for p in self.peaks
-            ]
-            obj["min_gap"] = self.min_gap
-            obj["max_gap"] = self.max_gap
-        return json.dumps(obj, indent=2) + "\n"
+        return json.dumps(asdict(self), indent=2) + "\n"
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -234,13 +204,13 @@ class CohortReport:
         writer.writerow(["window_end", self.window[1]])
         for key in ("mean", "sample_stdev", "aice"):
             v = getattr(self, key)
-            writer.writerow([key, "" if v is None else _fmt(v)])
+            writer.writerow([key, "" if v is None else repr(float(v))])
         if self.peaks is not None:
             writer.writerow(["peak_count", len(self.peaks)])
             for k, p in enumerate(self.peaks):
                 writer.writerow(
                     [f"peak_{k}", f"{p.start_year}-{p.end_year}"
-                     f" width={p.width_years} max={_fmt(p.max_cei)}"]
+                     f" width={p.width_years} max={repr(float(p.max_cei))}"]
                 )
             writer.writerow(["min_gap", "" if self.min_gap is None else self.min_gap])
             writer.writerow(["max_gap", "" if self.max_gap is None else self.max_gap])
@@ -312,14 +282,8 @@ def trim_series(series: CEISeries, max_birth_year: int = DEFAULT_TRIM_YEAR) -> C
             f"no cohorts at or before {max_birth_year} "
             f"(series starts at {series.first_year})"
         )
-    return CEISeries(
-        birth_years=series.birth_years[keep],
-        values=series.values[keep],
-        point_counts=series.point_counts[keep],
-        sex=series.sex,
-        source_label=series.source_label,
-        options_label=series.options_label,
-    )
+    return replace(series, birth_years=series.birth_years[keep],
+                   values=series.values[keep], point_counts=series.point_counts[keep])
 
 
 def _windowed(series: CEISeries, window: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -382,8 +346,8 @@ def detect_peaks(
     elevated run becomes one peak; min_gap/max_gap are the extreme peak
     widths. Deterministic: no randomness, ties resolve by the strict >.
     """
-    if not (threshold_ratio > 0):
-        raise ParameterError("threshold_ratio must be positive")
+    if not (0 < threshold_ratio < np.inf):
+        raise ParameterError("threshold_ratio must be positive and finite")
     years, values = _windowed(series, window)
     if years.size == 0:
         raise ParameterError(f"window {window} contains no cohorts")

@@ -55,6 +55,10 @@ def _as_contiguous_int_axis(values: Iterable[int], what: str) -> np.ndarray:
     # The last test catches steps of 1 that wrapped around the int64 range.
     if arr.size > 1 and not (np.all(np.diff(arr) == 1) and arr[-1] > arr[0]):
         raise StructuralError(f"{what} must be strictly increasing with step 1")
+    # to_grid converts axes to float64, which holds every integer up to 2**53.
+    if arr[0] < -2**53 or arr[-1] > 2**53:
+        raise StructuralError(f"{what} must not exceed 2**53 in magnitude "
+                              "(the exact integer range of a float)")
     return arr
 
 
@@ -211,28 +215,32 @@ def parse_csv_matrix(
 
     Empty fields become missing cells. Scientific notation is accepted.
     Raises :class:`FormatError` on ragged rows and on non-numeric non-empty
-    fields, naming the offending row or cell.
+    fields, naming the offending row or cell, and on text the ``csv`` module
+    rejects (a field over its size limit, a bare carriage return).
     """
     rows: list[list[float]] = []
     width: int | None = None
     reader = csv.reader(io.StringIO(text))
-    for r, row in enumerate(reader):
-        if not row:
-            continue
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise FormatError(
-                f"ragged row at row {r + 1}: expected {width} fields, got {len(row)}"
-            )
-        parsed = []
-        for c, tok in enumerate(row):
-            tok = tok.strip()
-            if tok == "":
-                parsed.append(np.nan)
-            else:
-                parsed.append(_parse_rate_token(tok, f"row {r + 1}, column {c + 1}"))
-        rows.append(parsed)
+    try:
+        for r, row in enumerate(reader):
+            if not row:
+                continue
+            if width is None:
+                width = len(row)
+            elif len(row) != width:
+                raise FormatError(
+                    f"ragged row at row {r + 1}: expected {width} fields, got {len(row)}"
+                )
+            parsed = []
+            for c, tok in enumerate(row):
+                tok = tok.strip()
+                if tok == "":
+                    parsed.append(np.nan)
+                else:
+                    parsed.append(_parse_rate_token(tok, f"row {r + 1}, column {c + 1}"))
+            rows.append(parsed)
+    except csv.Error as exc:
+        raise FormatError(f"malformed CSV at line {reader.line_num}: {exc}") from None
     if not rows:
         raise FormatError("empty CSV input")
     n_years = len(rows)
@@ -247,11 +255,17 @@ def parse_csv_matrix(
 
 
 def parse_json(text: str) -> MortalitySurface:
-    """Parse the JSON serialization produced by :func:`serialize`."""
+    """Parse the JSON serialization produced by :func:`serialize`.
+
+    Any other text raises an :class:`IngestError`: :class:`FormatError` for
+    invalid JSON, missing keys and values of the wrong type or shape.
+    """
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"invalid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise FormatError(f"surface JSON must be an object, not {type(obj).__name__}")
     try:
         years = obj["years"]
         ages = obj["ages"]
@@ -261,30 +275,31 @@ def parse_json(text: str) -> MortalitySurface:
         mask = obj["missing_mask"]
     except KeyError as exc:
         raise FormatError(f"missing key {exc} in surface JSON") from None
-    matrix = np.asarray(
-        [[np.nan if v is None else float(v) for v in row] for row in rates],
-        dtype=float,
-    )
-    mask_arr = np.asarray(mask, dtype=bool)
+    # Wrong value types, ragged lists and ints beyond float range fail here.
+    try:
+        sex = Sex(sex)
+        years, ages = np.asarray(years), np.asarray(ages)
+        matrix = np.asarray(
+            [[np.nan if v is None else float(v) for v in row] for row in rates],
+            dtype=float,
+        )
+        mask_arr = np.asarray(mask, dtype=bool)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"malformed surface JSON: {exc}") from None
     if mask_arr.shape != matrix.shape:
         raise StructuralError("missing_mask shape does not match rates")
     if not np.array_equal(mask_arr, np.isnan(matrix)):
         raise StructuralError("missing_mask inconsistent with null rates")
     return MortalitySurface(
-        years=np.asarray(years),
-        ages=np.asarray(ages),
+        years=years,
+        ages=ages,
         rates=matrix,
-        sex=Sex(sex),
+        sex=sex,
         source_label=str(source_label),
     )
 
 
 # --- serialization ----------------------------------------------------------
-
-def _format_rate(v: float) -> str:
-    # repr round-trips doubles exactly; int-valued floats keep a decimal point.
-    return repr(float(v))
-
 
 def serialize(surface: MortalitySurface, fmt: str = "csv") -> str:
     """Serialize a surface to ``csv`` or ``json`` text.
@@ -301,7 +316,7 @@ def serialize(surface: MortalitySurface, fmt: str = "csv") -> str:
             writer.writerow(
                 ""
                 if mask[i, j]
-                else _format_rate(surface.rates[i, j])
+                else repr(float(surface.rates[i, j]))
                 for j in range(surface.n_ages)
             )
         return out.getvalue()

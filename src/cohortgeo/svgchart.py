@@ -26,7 +26,9 @@ _PEAK_COLOR = "#c2432f"
 
 
 def _fmt(v: float) -> str:
-    return f"{v:.2f}"
+    # Computed coordinates are floats and get two decimals; the two fixed
+    # text positions (title y, axis-title x) are ints and print as given.
+    return f"{v:.2f}" if isinstance(v, float) else str(v)
 
 
 def _nice_step(span: float, target: int) -> float:
@@ -85,10 +87,8 @@ def render_series_chart(
 
     year_lo = min(s.first_year for s in series_list)
     year_hi = max(s.last_year for s in series_list)
-    value_hi = max(float(s.values.max()) for s in series_list)
-    if value_hi <= 0:
-        value_hi = 1.0
-    value_hi *= 1.05
+    # Values are >= 0, so a zero maximum is the only degenerate scale.
+    value_hi = (max(float(s.values.max()) for s in series_list) or 1.0) * 1.05
     year_span = max(year_hi - year_lo, 1)
 
     def sx(year: float) -> float:
@@ -97,118 +97,71 @@ def render_series_chart(
     def sy(value: float) -> float:
         return y0 - value / value_hi * (y0 - y1)
 
-    parts: list[str] = []
-    parts.append(
+    parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">'
-    )
-    parts.append(f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>')
-    if title:
-        parts.append(
-            f'<text x="{_fmt(width / 2)}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{html.escape(title, quote=False)}</text>'
-        )
+        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
+    ]
 
+    def line(ax: float, ay: float, bx: float, by: float, color: str, stroke: float):
+        parts.append(f'<line x1="{_fmt(ax)}" y1="{_fmt(ay)}" x2="{_fmt(bx)}" '
+                     f'y2="{_fmt(by)}" stroke="{color}" stroke-width="{stroke}"/>')
+
+    def text(x: float, y: float, body: object, size: int,
+             anchor: str | None = "middle", extra: str = ""):
+        anchor_attr = f' text-anchor="{anchor}"' if anchor else ""
+        parts.append(f'<text x="{_fmt(x)}" y="{_fmt(y)}"{anchor_attr} '
+                     f'font-family="sans-serif" font-size="{size}"{extra}>'
+                     f'{html.escape(str(body), quote=False)}</text>')
+
+    if title:
+        text(width / 2, 20, title, 14)
     if window is not None:
         w0 = max(float(window[0]), year_lo)
         w1 = min(float(window[1]), year_hi)
         if w1 > w0:
-            parts.append(
-                f'<rect x="{_fmt(sx(w0))}" y="{_fmt(y1)}" '
-                f'width="{_fmt(sx(w1) - sx(w0))}" height="{_fmt(y0 - y1)}" '
-                f'fill="{_WINDOW_FILL}"/>'
-            )
+            parts.append(f'<rect x="{_fmt(sx(w0))}" y="{_fmt(y1)}" '
+                         f'width="{_fmt(sx(w1) - sx(w0))}" height="{_fmt(y0 - y1)}" '
+                         f'fill="{_WINDOW_FILL}"/>')
 
     for tick in _ticks(year_lo, year_hi, 8):
         px = sx(tick)
-        parts.append(
-            f'<line x1="{_fmt(px)}" y1="{_fmt(y1)}" x2="{_fmt(px)}" '
-            f'y2="{_fmt(y0)}" stroke="{_GRID_COLOR}" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(px)}" y="{_fmt(y0 + 16)}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{int(tick)}</text>'
-        )
+        line(px, y1, px, y0, _GRID_COLOR, 1)
+        text(px, y0 + 16, int(tick), 11)
     for tick in _ticks(0.0, value_hi, 5):
         py = sy(tick)
-        parts.append(
-            f'<line x1="{_fmt(x0)}" y1="{_fmt(py)}" x2="{_fmt(x1)}" '
-            f'y2="{_fmt(py)}" stroke="{_GRID_COLOR}" stroke-width="1"/>'
-        )
-        label = f"{tick:.3g}"
-        parts.append(
-            f'<text x="{_fmt(x0 - 6)}" y="{_fmt(py + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{label}</text>'
-        )
+        line(x0, py, x1, py, _GRID_COLOR, 1)
+        text(x0 - 6, py + 4, f"{tick:.3g}", 11, anchor="end")
 
     # axes on top of the grid
-    parts.append(
-        f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" y2="{_fmt(y0)}" '
-        f'stroke="{_AXIS_COLOR}" stroke-width="1.5"/>'
-    )
-    parts.append(
-        f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x0)}" y2="{_fmt(y1)}" '
-        f'stroke="{_AXIS_COLOR}" stroke-width="1.5"/>'
-    )
-    parts.append(
-        f'<text x="{_fmt((x0 + x1) / 2)}" y="{_fmt(y0 + 34)}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">birth year</text>'
-    )
-    parts.append(
-        f'<text x="14" y="{_fmt((y0 + y1) / 2)}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 14 {_fmt((y0 + y1) / 2)})">CEI</text>'
-    )
+    line(x0, y0, x1, y0, _AXIS_COLOR, 1.5)
+    line(x0, y0, x0, y1, _AXIS_COLOR, 1.5)
+    text((x0 + x1) / 2, y0 + 34, "birth year", 12)
+    y_mid = (y0 + y1) / 2
+    text(14, y_mid, "CEI", 12, extra=f' transform="rotate(-90 14 {_fmt(y_mid)})"')
 
     for idx, series in enumerate(series_list):
-        color = _PALETTE[idx % len(_PALETTE)]
-        points = " ".join(
-            f"{_fmt(sx(int(y)))},{_fmt(sy(v))}"
-            for y, v, _ in series
-        )
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-            f'points="{points}"/>'
-        )
+        points = " ".join(f"{_fmt(sx(int(y)))},{_fmt(sy(v))}" for y, v, _ in series)
+        parts.append(f'<polyline fill="none" stroke="{_PALETTE[idx % len(_PALETTE)]}" '
+                     f'stroke-width="1.5" points="{points}"/>')
 
-    if peaks:
-        bracket_y = y1 - 6.0
-        for p in peaks:
-            px0, px1 = sx(p.start_year), sx(p.end_year)
-            parts.append(
-                f'<line x1="{_fmt(px0)}" y1="{_fmt(bracket_y)}" '
-                f'x2="{_fmt(px1)}" y2="{_fmt(bracket_y)}" '
-                f'stroke="{_PEAK_COLOR}" stroke-width="2"/>'
-            )
-            text = (str(p.start_year) if p.start_year == p.end_year
-                    else f"{p.start_year}-{p.end_year}")
-            parts.append(
-                f'<text x="{_fmt((px0 + px1) / 2)}" y="{_fmt(bracket_y - 4)}" '
-                f'text-anchor="middle" font-family="sans-serif" font-size="10" '
-                f'fill="{_PEAK_COLOR}">{text}</text>'
-            )
+    bracket_y = y1 - 6.0
+    for p in peaks or ():
+        px0, px1 = sx(p.start_year), sx(p.end_year)
+        line(px0, bracket_y, px1, bracket_y, _PEAK_COLOR, 2)
+        label = (str(p.start_year) if p.start_year == p.end_year
+                 else f"{p.start_year}-{p.end_year}")
+        text((px0 + px1) / 2, bracket_y - 4, label, 10, extra=f' fill="{_PEAK_COLOR}"')
 
     legend_y = y1 + 14.0
     for idx, series in enumerate(series_list):
-        if labels is not None:
-            text = labels[idx]
-        else:
-            pieces = [series.source_label or f"series {idx + 1}"]
-            if series.sex is not None:
-                pieces.append(series.sex.value)
-            text = " / ".join(pieces)
-        color = _PALETTE[idx % len(_PALETTE)]
+        pieces = [series.source_label or f"series {idx + 1}"]
+        if series.sex is not None:
+            pieces.append(series.sex.value)
+        label = " / ".join(pieces) if labels is None else labels[idx]
         ly = legend_y + 16.0 * idx
-        parts.append(
-            f'<line x1="{_fmt(x0 + 8)}" y1="{_fmt(ly - 4)}" '
-            f'x2="{_fmt(x0 + 30)}" y2="{_fmt(ly - 4)}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(x0 + 36)}" y="{_fmt(ly)}" font-family="sans-serif" '
-            f'font-size="11" fill="#222222">{html.escape(text, quote=False)}</text>'
-        )
+        line(x0 + 8, ly - 4, x0 + 30, ly - 4, _PALETTE[idx % len(_PALETTE)], 2)
+        text(x0 + 36, ly, label, 11, anchor=None, extra=' fill="#222222"')
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import cohortgeo as cg
 from cohortgeo import (
     CEISeries,
+    CohortReport,
     ConsistencyError,
     EmptySeriesError,
     ParameterError,
@@ -19,6 +21,7 @@ from cohortgeo import (
     SampleSizeError,
     Sex,
     UndefinedAiceError,
+    render_series_chart,
 )
 from cohortgeo.analytics import rolling_median_baseline
 
@@ -77,6 +80,14 @@ class TestCEISeriesType:
     def test_from_csv_rejects_bad_header(self):
         with pytest.raises(ValueError):
             CEISeries.from_csv("year,value\n1900,1.0")
+
+    @pytest.mark.parametrize("text", [
+        "birth_year,cei,point_count\n1900,1.0,3\r1901,2.0,3\n",
+        "birth_year,cei,point_count\n1900," + "1" * 140_000 + ",3\n",
+    ], ids=["bare-cr", "field-over-reader-limit"])
+    def test_from_csv_reader_errors_are_value_errors(self, text):
+        with pytest.raises(ValueError, match="malformed series CSV"):
+            CEISeries.from_csv(text)
 
     def test_json_structure(self):
         s = series_of([1.0, 2.0], sex=Sex.TOTAL, source_label="lbl")
@@ -326,6 +337,19 @@ class TestDetectPeaks:
         with pytest.raises(ValueError):
             Peak(start_year=1940, end_year=1950, width_years=5, max_cei=1.0)
 
+    @pytest.mark.parametrize("ratio", [0.0, -1.0, float("nan"), float("inf")])
+    def test_threshold_must_be_positive_and_finite(self, ratio):
+        s = series_of(np.ones(20), first_year=1900)
+        with pytest.raises(ParameterError, match="positive and finite"):
+            cg.detect_peaks(s, window=(1900, 1919), threshold_ratio=ratio)
+
+    def test_hand_built_report_json_keeps_stored_fields(self):
+        report = CohortReport(window=(1900, 1950), min_gap=2, max_gap=5)
+        assert json.loads(report.to_json()) == {
+            "window": [1900, 1950], "mean": None, "sample_stdev": None,
+            "aice": None, "peaks": None, "min_gap": 2, "max_gap": 5,
+        }
+
     def test_report_json(self):
         values = np.ones(40)
         values[12:18] = 3.0
@@ -364,3 +388,51 @@ class TestUShape:
         s = series_of(values, first_year=1965)
         report = cg.u_shape_diagnostic(s, cutoff_year=1965)
         assert report.drop_start_year is None
+
+
+class TestGoldenBytes:
+    """sha256 digests of the chart and report texts for two hand-valued
+    series. They pin every emitted byte: markup, attribute order, number
+    formatting, escaping and key order."""
+
+    A = [0.0, 1.2, 0.9, 1.1, 1.0, 3.5, 4.25, 1.05, 0.95, 1.0, 1.1, 0.9, 1.0,
+         2.75, 1.0, 1.2, 0.8, 1.0, 1.1, 1 / 3, 1.0, 1.0, 5.5, 1.0, 0.9]
+    B = [0.5, 0.7, 0.1 + 0.2, 0.6, 2.0, 0.55, 0.5, 0.45, 1e-3, 0.5,
+         0.65, 0.5, 0.4, 0.5, 7e-17, 0.5, 0.6, 0.5, 0.5, 0.45]
+    WINDOW = (1902, 1922)
+    DIGESTS = {
+        "svg": "d61658cd236224c54c346bd9392ca58300fd816a2ca6307338ba5bccdc8c8bf7",
+        "aice_json": "3b8b7b4a74c0ed98b7d0d7e5ccd9676cffb330bf2b99410ce75aed215fc57565",
+        "aice_csv": "b298d2f39ddc9cb379ba9bfc6b5dfe96230ef0ede8435018a0b62880ccda6bba",
+        "gaps_json": "594a7acbf0bc034437f13242c0beff9caf6498c0faa6a8e04146698a70e6b78f",
+        "gaps_csv": "59ed3e9fcd9d42520fdd07bc61737322839f51f91b838639732dfd96b20d1190",
+        "series_csv": "2f2c465de74bb24f2a16b1e0085c6e68dc963044d25fba83ec2075654e547d78",
+        "series_json": "9bf8c7657d9f6203f655b5e52e2562e1e05557e146bc5eb1785c172d0a1766cb",
+    }
+
+    @pytest.fixture
+    def texts(self):
+        a = CEISeries(birth_years=np.arange(1900, 1925), values=np.array(self.A),
+                      point_counts=np.array([0] + [3] * 24), sex=Sex.FEMALE,
+                      source_label="cohort-A", options_label="z1")
+        b = CEISeries(birth_years=np.arange(1903, 1923), values=np.array(self.B),
+                      point_counts=np.full(20, 2), source_label="cohort-B")
+        report = cg.aice(a, self.WINDOW)
+        gaps = cg.detect_peaks(a, self.WINDOW)
+        # one two-year and one single-year peak: both bracket-label forms
+        assert [(p.start_year, p.end_year) for p in gaps.peaks] == [
+            (1905, 1906), (1913, 1913)]
+        shown = cg.trim_series(a, 1920).scaled(2.0)
+        return {
+            "svg": render_series_chart([a, b], title='A&B <x> "q"',
+                                       window=self.WINDOW, peaks=gaps.peaks,
+                                       labels=["a & <A>", 'b "B"']),
+            "aice_json": report.to_json(), "aice_csv": report.to_csv(),
+            "gaps_json": gaps.to_json(), "gaps_csv": gaps.to_csv(),
+            "series_csv": shown.to_csv(), "series_json": shown.to_json(),
+        }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_digest(self, texts, name):
+        digest = hashlib.sha256(texts[name].encode()).hexdigest()
+        assert digest == self.DIGESTS[name]

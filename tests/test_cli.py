@@ -176,6 +176,20 @@ class TestCei:
         assert run("cei", str(ridge_csv), "--input-format", "csv", *flags) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("first_year", [str(2**53 - 2), str(2**60)])
+    def test_csv_axis_beyond_float_precision_exit_2(self, ridge_csv, first_year,
+                                                    capsys):
+        assert run("cei", str(ridge_csv), "--input-format", "csv",
+                   "--first-year", first_year, "--first-age", "0") == 2
+        assert capsys.readouterr().err.startswith("error: years must not exceed 2**53")
+
+    def test_csv_field_over_reader_limit_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "wide.csv"
+        path.write_text("0.1,0.2,0.3\n0.1,0.2,0.3\n0." + "1" * 140_000 + ",0.2,0.3\n")
+        assert run("cei", str(path), "--input-format", "csv",
+                   "--first-year", "1900", "--first-age", "0") == 2
+        assert capsys.readouterr().err.startswith("error: malformed CSV at line 3")
+
     def test_trim_before_series_exit_4(self, ridge_csv):
         assert run("cei", str(ridge_csv), "--input-format", "csv",
                    "--first-year", "1900", "--first-age", "0",
@@ -232,6 +246,13 @@ class TestGaps:
         assert any(s <= 1930 <= e for s, e in spans)
         assert obj["min_gap"] <= obj["max_gap"]  # at least one peak, so not None
 
+    def test_infinite_threshold_exit_4(self, ridge_csv, capsys):
+        assert run("gaps", str(ridge_csv), "--input-format", "csv",
+                   "--first-year", "1900", "--first-age", "0",
+                   "--threshold", "inf") == 4
+        err = capsys.readouterr().err
+        assert err == "analytics error: threshold_ratio must be positive and finite\n"
+
 
 class TestSurfaceDump:
     def test_csv_dump(self, ridge_csv, capsys):
@@ -271,6 +292,12 @@ class TestPlot:
         root = ET.fromstring(out.read_text())
         ns = "{http://www.w3.org/2000/svg}"
         assert len(root.findall(f".//{ns}polyline")) == 2
+
+    def test_series_field_over_reader_limit_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "wide.csv"
+        path.write_text("birth_year,cei,point_count\n1900," + "1" * 140_000 + ",3\n")
+        assert run("plot", str(path)) == 2
+        assert capsys.readouterr().err.startswith("error: malformed series CSV")
 
     def test_no_peaks_flag(self, series_csv, tmp_path):
         out = tmp_path / "chart3.svg"

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from cohortgeo import (
     FormatError,
+    IngestError,
     MortalitySurface,
     Sex,
     StructuralError,
@@ -92,6 +93,25 @@ class TestConstruction:
                              rates=[[0.1, 0.2], [0.3, 0.4]], sex=Sex.TOTAL,
                              source_label="")
 
+    @pytest.mark.parametrize("years", [
+        [2**53 - 1, 2**53, 2**53 + 1],
+        [-2**53 - 1, -2**53],
+        [2**60, 2**60 + 1],
+    ], ids=["above", "below", "2**60"])
+    def test_years_beyond_float_precision_rejected(self, years):
+        with pytest.raises(StructuralError, match=r"years must not exceed 2\*\*53"):
+            MortalitySurface(years=years, ages=[0, 1],
+                             rates=np.full((len(years), 2), 0.1), sex=Sex.TOTAL,
+                             source_label="")
+
+    @pytest.mark.parametrize("years", [[2**53 - 1, 2**53], [-2**53, 1 - 2**53]],
+                             ids=["top", "bottom"])
+    def test_years_at_float_precision_edge_accepted(self, years):
+        s = MortalitySurface(years=years, ages=[0, 1],
+                             rates=[[0.1, 0.2], [0.3, 0.4]], sex=Sex.TOTAL,
+                             source_label="")
+        assert list(s.to_grid().t) == [float(y) for y in years]
+
     @pytest.mark.parametrize("ages", [["0", "1"], [0, None]])
     def test_non_numeric_ages_rejected(self, ages):
         with pytest.raises(StructuralError, match="ages must be integers"):
@@ -163,6 +183,14 @@ class TestCsvMatrix:
         with pytest.raises(FormatError):
             parse_csv_matrix("", first_year=2000, first_age=0)
 
+    @pytest.mark.parametrize("text", [
+        "0.1,0.2\n0.3,0.4\r0.5,0.6\n",
+        "0.1,0.2\n0.3,0." + "1" * 140_000 + "\n",
+    ], ids=["bare-cr", "field-over-reader-limit"])
+    def test_csv_reader_errors_are_format_errors(self, text):
+        with pytest.raises(FormatError, match="malformed CSV at line 2"):
+            parse_csv_matrix(text, first_year=2000, first_age=0)
+
 
 class TestSerialization:
     def test_csv_round_trip_identity(self):
@@ -213,6 +241,30 @@ class TestSerialization:
         with pytest.raises(StructuralError):
             parse_json(json.dumps(obj))
 
+    @pytest.mark.parametrize("edit", [
+        {"sex": "other"},
+        {"sex": None},
+        {"rates": 5},
+        {"rates": [["a", 0.2], [0.3, 0.4]]},
+        {"rates": [[0.1, 0.2], [0.3]]},
+        {"rates": [[10**400, 0.2], [0.3, 0.4]]},
+    ], ids=["sex-other", "sex-null", "rates-number", "rate-string", "rates-ragged",
+            "rate-beyond-float"])
+    def test_json_wrong_value_types_are_format_errors(self, edit):
+        obj = json.loads(serialize(make_surface([[0.1, 0.2], [0.3, 0.4]]), "json"))
+        obj.update(edit)
+        with pytest.raises(FormatError, match="malformed surface JSON"):
+            parse_json(json.dumps(obj))
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "5", "null"])
+    def test_json_top_level_non_object_rejected(self, text):
+        with pytest.raises(FormatError, match="surface JSON must be an object"):
+            parse_json(text)
+
+    def test_json_nested_beyond_recursion_limit_rejected(self):
+        with pytest.raises(FormatError, match="invalid JSON"):
+            parse_json("[" * 100_000 + "]" * 100_000)
+
     def test_unknown_format(self):
         s = make_surface([[0.1, 0.2]])
         with pytest.raises(ValueError):
@@ -254,3 +306,75 @@ class TestSurfaceGrid:
         g = SurfaceGrid(t=np.array([0.0, 0.5, 1.0]), x=np.array([0.0, 0.5]),
                         z=np.zeros((3, 2)))
         assert g.shape == (3, 2)
+
+
+# --- parser totality --------------------------------------------------------
+
+_CSV_TOKENS = st.sampled_from([
+    "0.1", "2.5E-3", "-0.5", "", " ", "0", "nan", "inf", "1e999", ".", "x",
+    '"', '"0.2"', '"1,2"', "0x1", "1_0", "\x00",
+])
+_CSV_LIKE_TEXT = st.one_of(
+    st.tuples(
+        st.lists(st.lists(_CSV_TOKENS, max_size=5).map(",".join), max_size=6),
+        st.sampled_from(["\n", "\r\n", "\r"]),
+    ).map(lambda rows_sep: rows_sep[1].join(rows_sep[0])),
+    st.text(alphabet='0123456789.,e-+ "\n\rnaifx\x00', max_size=60),
+)
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _mutated_surface_json(draw) -> str:
+    """A valid surface's JSON with keys dropped or values replaced at the top,
+    row or cell level, then optionally spliced as text."""
+    surface = make_surface([[0.1, np.nan, 0.3], [0.4, 0.5, 0.6]], label="m")
+    obj = json.loads(serialize(surface, "json"))
+    for _ in range(draw(st.integers(1, 3))):
+        if not obj:
+            break
+        key = draw(st.sampled_from(sorted(obj)))
+        how = draw(st.sampled_from(["drop", "value", "row", "cell"]))
+        target = obj[key]
+        if how == "drop":
+            del obj[key]
+        elif how == "value" or not isinstance(target, list) or not target:
+            obj[key] = draw(_JSON_VALUES)
+        elif how == "row" or not isinstance(target[0], list) or not target[0]:
+            target[draw(st.integers(0, len(target) - 1))] = draw(_JSON_VALUES)
+        else:
+            target[0][draw(st.integers(0, len(target[0]) - 1))] = draw(_JSON_VALUES)
+    text = json.dumps(obj)
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, len(text)))
+        text = text[:i] + draw(st.text(alphabet='[]{},:"0123456789.-en', max_size=4)) + text[j:]
+    return text
+
+
+class TestParserTotality:
+    """Any text gives a surface or an IngestError, never another exception."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_CSV_LIKE_TEXT)
+    def test_parse_csv_matrix_is_total(self, text):
+        try:
+            surface = parse_csv_matrix(text, first_year=1900, first_age=0)
+        except IngestError:
+            return
+        assert isinstance(surface, MortalitySurface)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_mutated_surface_json())
+    def test_parse_json_is_total(self, text):
+        try:
+            surface = parse_json(text)
+        except IngestError:
+            return
+        assert isinstance(surface, MortalitySurface)
