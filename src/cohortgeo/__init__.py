@@ -5,6 +5,10 @@ surface geometry from 3-point stencils (tangents, curvature vectors, a
 normal, and directional normal curvatures), aggregate the cohort-versus-
 cross curvature mismatch per birth year, then summarize that series
 (aggregate dispersion index, peak widths, tail diagnostics).
+
+The analytic oracle lives in :mod:`cohortgeo.smooth` and the scalar
+one-point reference steps in :mod:`cohortgeo.geometry`; neither is
+re-exported here.
 """
 
 from __future__ import annotations
@@ -39,37 +43,15 @@ from .errors import (
     UndefinedAiceError,
 )
 from .geometry import (
-    AGE,
     COHORT,
     CROSS,
-    PERIOD,
     GeometryField,
     GeometryOptions,
-    StencilCurve,
     compute_geometry_field,
     compute_point_geometry,
-    curvature_vector,
-    discrete_parameter,
-    discrete_tangent,
-    estimate_normal,
-    ls_derivative,
-    normal_curvature,
     prepare_grid,
 )
 from .hmd import HmdParseResult, load_hmd, parse_hmd
-from .smooth import (
-    AnalyticSurface,
-    cohort_cross_direction,
-    gaussian_bump,
-    gaussian_ridge,
-    gompertz_surface,
-    materialize_mortality_surface,
-    plane,
-    sample_grid,
-    smooth_cei,
-    smooth_normal_curvature,
-    sphere_cap,
-)
 from .surface import (
     MortalitySurface,
     Sex,
@@ -83,12 +65,9 @@ from .svgchart import render_series_chart
 __version__ = "0.1.0"
 
 __all__ = [
-    "AGE",
     "COHORT",
     "CROSS",
-    "PERIOD",
     "AmbiguousNormalError",
-    "AnalyticSurface",
     "AnalyticsError",
     "CEISeries",
     "CohortGeoError",
@@ -109,7 +88,6 @@ __all__ = [
     "QuadratureError",
     "SampleSizeError",
     "Sex",
-    "StencilCurve",
     "StructuralError",
     "SurfaceGrid",
     "SurfaceSizeError",
@@ -117,32 +95,16 @@ __all__ = [
     "UndefinedAiceError",
     "aice",
     "cei_series",
-    "cohort_cross_direction",
     "compute_geometry_field",
     "compute_point_geometry",
-    "curvature_vector",
     "detect_peaks",
-    "discrete_parameter",
-    "discrete_tangent",
-    "estimate_normal",
-    "gaussian_bump",
-    "gaussian_ridge",
-    "gompertz_surface",
     "load_hmd",
-    "ls_derivative",
-    "materialize_mortality_surface",
-    "normal_curvature",
     "parse_csv_matrix",
     "parse_hmd",
     "parse_json",
-    "plane",
     "prepare_grid",
     "render_series_chart",
-    "sample_grid",
     "serialize",
-    "smooth_cei",
-    "smooth_normal_curvature",
-    "sphere_cap",
     "trim_series",
     "u_shape_diagnostic",
     "__version__",

@@ -41,6 +41,16 @@ DEFAULT_BASELINE_WINDOW = 11
 DEFAULT_THRESHOLD_RATIO = 1.25
 
 
+def _integer_array(values, name: str) -> np.ndarray:
+    """``values`` as an int array; fractions and values beyond int64 raise."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "ib":
+        f = arr.astype(float)
+        if not np.all((f == np.round(f)) & (np.abs(f) < 2.0**63)):
+            raise ValueError(f"{name} must be integers within the 64-bit range")
+    return arr.astype(int, copy=False)
+
+
 @dataclass(frozen=True, eq=False)
 class CEISeries:
     """Cohort effect index per birth year, over a contiguous year range.
@@ -58,9 +68,9 @@ class CEISeries:
     options_label: str = ""
 
     def __post_init__(self) -> None:
-        years = np.asarray(self.birth_years, dtype=int)
+        years = _integer_array(self.birth_years, "birth_years")
         values = np.asarray(self.values, dtype=float)
-        counts = np.asarray(self.point_counts, dtype=int)
+        counts = _integer_array(self.point_counts, "point_counts")
         if years.ndim != 1 or years.size == 0:
             raise ValueError("series must contain at least one birth year")
         if not (values.shape == years.shape and counts.shape == years.shape):
@@ -111,12 +121,6 @@ class CEISeries:
             raise KeyError(f"birth year {birth_year} not in series")
         return float(self.values[k])
 
-    def scaled(self, k: float) -> "CEISeries":
-        """Series with every value multiplied by k > 0 (counts unchanged)."""
-        if not (k > 0):
-            raise ValueError("scale factor must be positive")
-        return replace(self, values=self.values * k)
-
     def to_csv(self) -> str:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
@@ -141,10 +145,13 @@ class CEISeries:
             years.append(int(r[0]))
             values.append(float(r[1]))
             counts.append(int(r[2]))
-        return cls(birth_years=np.array(years, dtype=int),
-                   values=np.array(values, dtype=float),
-                   point_counts=np.array(counts, dtype=int),
-                   sex=sex, source_label=source_label,
+        try:
+            years, counts = np.array(years, dtype=int), np.array(counts, dtype=int)
+        except OverflowError:
+            raise ValueError("malformed series CSV: birth_year or point_count "
+                             "outside the 64-bit integer range") from None
+        return cls(birth_years=years, values=np.array(values, dtype=float),
+                   point_counts=counts, sex=sex, source_label=source_label,
                    options_label=options_label)
 
     def to_json(self) -> str:

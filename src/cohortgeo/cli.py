@@ -6,8 +6,9 @@ kernel, aggregate per cohort, and export series/reports/charts.
 subcommand builds its output as text and :func:`main` writes it once.
 
 Exit codes: 0 success, 2 input or configuration problems (including any
-``OSError`` from reading input or writing output, and a reversed
-``--window``/``--years``/``--ages`` range), 3 geometry failures, 4
+``OSError`` from reading input or writing output, a reversed
+``--window``/``--years``/``--ages`` range, and an ``OverflowError`` from a
+parameter too large to compute with), 3 geometry failures, 4
 analytics failures. Output files are written atomically
 (temp file plus rename), so a failed run never leaves a partial artifact.
 Relative output paths are resolved against ``COHORTGEO_OUTPUT_DIR`` when
@@ -282,12 +283,10 @@ def cmd_synthetic(args: argparse.Namespace) -> str:
 
 def cmd_plot(args: argparse.Namespace) -> str:
     series_list = []
-    labels = []
     for path in args.inputs:
         with open(path, "r", encoding="utf-8") as fh:
             series_list.append(CEISeries.from_csv(
                 fh.read(), source_label=os.path.basename(path)))
-        labels.append(os.path.basename(path))
     window = None if args.no_window else tuple(args.window)
     peaks = None
     if not args.no_peaks:
@@ -299,8 +298,7 @@ def cmd_plot(args: argparse.Namespace) -> str:
         except AnalyticsError:
             peaks = None  # window/series too short to annotate; chart anyway
     return render_series_chart(series_list, width=args.width, height=args.height,
-                               title=args.title, window=window, peaks=peaks,
-                               labels=labels)
+                               title=args.title, window=window, peaks=peaks)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -319,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
             text = _run_pipeline(args)
         _emit(text, args.output_path)
         return EXIT_OK
-    except (IngestError, OSError, ValueError) as exc:
+    except (IngestError, OSError, OverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except GeometryError as exc:

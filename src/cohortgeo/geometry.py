@@ -115,50 +115,22 @@ def _ls_slope(v0, v1, v2, s0, s1, s2):
     return (d0 * (v0 - v1) + d2 * (v2 - v1)) / (d0 * d0 + d2 * d2)
 
 
-def ls_derivative(values, params) -> float:
-    """Constrained least-squares derivative at the middle sample.
-
-    ``values`` are three reals sampled at ``params`` (as produced by
-    :func:`discrete_parameter`); the returned slope is exact for data that
-    is affine in the parameter.
-    """
-    v0, v1, v2 = (float(v) for v in values)
-    s0, s1, s2 = (float(s) for s in params)
-    return float(_ls_slope(v0, v1, v2, s0, s1, s2))
-
-
-@dataclass(frozen=True, eq=False)
-class StencilCurve:
-    """Three-point discrete curve with its chord-length parameters."""
-
-    q0: np.ndarray
-    q1: np.ndarray
-    q2: np.ndarray
-    s: tuple[float, float, float]
-
-    @classmethod
-    def from_points(cls, q0, q1, q2) -> "StencilCurve":
-        q0 = np.asarray(q0, dtype=float)
-        q1 = np.asarray(q1, dtype=float)
-        q2 = np.asarray(q2, dtype=float)
-        return cls(q0=q0, q1=q1, q2=q2, s=discrete_parameter(q0, q1, q2))
-
-
-def discrete_tangent(curve: StencilCurve) -> tuple[np.ndarray, np.ndarray]:
+def discrete_tangent(q0, q1, q2) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares tangent at the centre point: ``(T, V = T/|T|)``.
 
     Raises :class:`DegenerateTangentError` when ``|T|`` falls below 1e-14
     (the three points fold back onto the centre).
     """
-    s0, s1, s2 = curve.s
-    T = _ls_slope(curve.q0, curve.q1, curve.q2, s0, s1, s2)
+    q0, q1, q2 = (np.asarray(q, dtype=float) for q in (q0, q1, q2))
+    s0, s1, s2 = discrete_parameter(q0, q1, q2)
+    T = _ls_slope(q0, q1, q2, s0, s1, s2)
     nT = _norm3(T)
     if nT < _TANGENT_EPS:
         raise DegenerateTangentError("least-squares tangent has near-zero magnitude")
     return T, T / nT
 
 
-def curvature_vector(curve: StencilCurve) -> np.ndarray:
+def curvature_vector(q0, q1, q2) -> np.ndarray:
     """Curvature vector at the centre: tangent-field derivative over speed.
 
     The unit tangent field is sampled three times: normalized chords for
@@ -167,11 +139,12 @@ def curvature_vector(curve: StencilCurve) -> np.ndarray:
     by the centre speed ``|T|`` gives curvature per unit arc length. Exactly
     zero for collinear points at any spacing.
     """
-    s0, s1, s2 = curve.s
-    T, v_center = discrete_tangent(curve)
+    q0, q1, q2 = (np.asarray(q, dtype=float) for q in (q0, q1, q2))
+    s0, s1, s2 = discrete_parameter(q0, q1, q2)
+    T, v_center = discrete_tangent(q0, q1, q2)
     nT = _norm3(T)
-    c01 = curve.q1 - curve.q0
-    c12 = curve.q2 - curve.q1
+    c01 = q1 - q0
+    c12 = q2 - q1
     u0 = c01 / _norm3(c01)
     u2 = c12 / _norm3(c12)
     m0 = 0.5 * (s0 + s1)
@@ -332,11 +305,9 @@ def compute_point_geometry(grid: SurfaceGrid, i: int, j: int):
     tangents = np.empty((4, 3))
     cvs = np.empty((4, 3))
     for k, ((di0, dj0), (di2, dj2)) in enumerate(_STENCIL_OFFSETS):
-        curve = StencilCurve.from_points(
-            point(i + di0, j + dj0), point(i, j), point(i + di2, j + dj2)
-        )
-        _, tangents[k] = discrete_tangent(curve)
-        cvs[k] = curvature_vector(curve)
+        q = (point(i + di0, j + dj0), point(i, j), point(i + di2, j + dj2))
+        _, tangents[k] = discrete_tangent(*q)
+        cvs[k] = curvature_vector(*q)
     normal = estimate_normal(*tangents)
     ncs = np.array([normal_curvature(normal, cvs[k]) for k in range(4)])
     return tangents, cvs, normal, ncs

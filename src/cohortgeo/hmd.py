@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -80,14 +80,13 @@ def _parse_value(token: str, lineno: int) -> float:
     return value
 
 
-def parse_hmd(source: str | IO[str]) -> HmdParseResult:
-    """Parse an HMD Mx 1x1 text stream into one surface per sex column.
+def parse_hmd(text: str) -> HmdParseResult:
+    """Parse HMD Mx 1x1 text into one surface per sex column.
 
     Raises :class:`FormatError` for malformed lines (naming the line
     number) and :class:`StructuralError` for duplicate (year, age) rows,
     gaps in years or ages, uneven age ranges, or axes beyond int64.
     """
-    text = source if isinstance(source, str) else source.read()
     lines = text.splitlines()
     if len(lines) < 4:
         raise FormatError("file too short: expected title, blank line, header, data")
@@ -174,13 +173,6 @@ def parse_hmd(source: str | IO[str]) -> HmdParseResult:
     )
 
 
-def load_hmd(path: str | Path, sex: Sex | str | None = None):
-    """Read an Mx 1x1 file from disk.
-
-    With ``sex`` given, returns that single surface; otherwise the full
-    :class:`HmdParseResult`.
-    """
-    result = parse_hmd(Path(path).read_text(encoding="utf-8"))
-    if sex is None:
-        return result
-    return result.surfaces[Sex(sex)]
+def load_hmd(path: str | Path, sex: Sex | str) -> MortalitySurface:
+    """Read an Mx 1x1 file from disk and return the surface of one sex."""
+    return parse_hmd(Path(path).read_text(encoding="utf-8")).surfaces[Sex(sex)]

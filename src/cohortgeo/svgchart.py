@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import html
 import math
+import sys
 from typing import Sequence
 
 from .analytics import CEISeries, Peak
@@ -46,13 +47,12 @@ def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     if hi <= lo:
         return [lo]
     step = _nice_step(hi - lo, target)
-    first = math.ceil(lo / step) * step
-    out = []
-    v = first
-    while v <= hi + 1e-9 * step:
-        out.append(round(v, 10))
-        v += step
-    return out
+    # Integer multiples of the step, so the count is bounded at any
+    # magnitude, rounded one digit below the step's leading digit so that
+    # tiny steps keep their ticks apart.
+    digits = 1 - math.floor(math.log10(step))
+    return [round(k * step, digits)
+            for k in range(math.ceil(lo / step), math.floor(hi / step + 1e-9) + 1)]
 
 
 def render_series_chart(
@@ -63,19 +63,15 @@ def render_series_chart(
     title: str = "",
     window: tuple[int, int] | None = None,
     peaks: Sequence[Peak] | None = None,
-    labels: Sequence[str] | None = None,
 ) -> str:
     """Render birth year (x) against cohort index value (y).
 
     One polyline per series. ``window`` shades an analysis range;
-    ``peaks`` draws labelled brackets above the detected runs. ``labels``
-    overrides the legend text (defaults to each series' source label and
-    sex).
+    ``peaks`` draws labelled brackets above the detected runs. The legend
+    names each series by its source label and sex.
     """
     if not series_list:
         raise ValueError("need at least one series to chart")
-    if labels is not None and len(labels) != len(series_list):
-        raise ValueError("labels must match series_list in length")
 
     margin_top = 34.0 if title else 16.0
     x0 = _MARGIN_LEFT
@@ -87,8 +83,10 @@ def render_series_chart(
 
     year_lo = min(s.first_year for s in series_list)
     year_hi = max(s.last_year for s in series_list)
-    # Values are >= 0, so a zero maximum is the only degenerate scale.
-    value_hi = (max(float(s.values.max()) for s in series_list) or 1.0) * 1.05
+    # Values are >= 0, so a zero maximum is the only degenerate scale; the
+    # headroom stops at the largest float rather than overflowing to inf.
+    value_hi = min((max(float(s.values.max()) for s in series_list) or 1.0) * 1.05,
+                   sys.float_info.max)
     year_span = max(year_hi - year_lo, 1)
 
     def sx(year: float) -> float:
@@ -158,10 +156,9 @@ def render_series_chart(
         pieces = [series.source_label or f"series {idx + 1}"]
         if series.sex is not None:
             pieces.append(series.sex.value)
-        label = " / ".join(pieces) if labels is None else labels[idx]
         ly = legend_y + 16.0 * idx
         line(x0 + 8, ly - 4, x0 + 30, ly - 4, _PALETTE[idx % len(_PALETTE)], 2)
-        text(x0 + 36, ly, label, 11, anchor=None, extra=' fill="#222222"')
+        text(x0 + 36, ly, " / ".join(pieces), 11, anchor=None, extra=' fill="#222222"')
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

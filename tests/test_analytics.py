@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from cohortgeo import (
     Sex,
     UndefinedAiceError,
     render_series_chart,
+    smooth,
 )
 from cohortgeo.analytics import rolling_median_baseline
 
@@ -60,13 +62,28 @@ class TestCEISeriesType:
         with pytest.raises(KeyError):
             s.value_at(1900)
 
-    def test_scaled(self):
-        s = series_of([1.0, 2.0], sex=Sex.TOTAL, source_label="x")
-        doubled = s.scaled(2.0)
-        assert list(doubled.values) == [2.0, 4.0]
-        assert doubled.sex is Sex.TOTAL
-        with pytest.raises(ValueError):
-            s.scaled(0.0)
+    @pytest.mark.parametrize("years, counts", [
+        ([1950.5, 1951.5], [1, 2]),
+        ([1950, 1951], [1.7, 2.2]),
+        ([1950.0, np.nan], [1, 1]),
+        ([1950, 1951], [1.0, np.inf]),
+        ([10**20, 10**20 + 1], [1, 1]),
+        (np.array([2**64 - 2, 2**64 - 1], dtype=np.uint64), [1, 1]),
+    ])
+    def test_non_integral_axes_rejected(self, years, counts):
+        with pytest.raises(ValueError, match="must be integers"):
+            CEISeries(birth_years=years, values=[1.0, 2.0], point_counts=counts)
+
+    def test_integral_float_axes_accepted(self):
+        s = CEISeries(birth_years=[1950.0, 1951.0], values=[1.0, 2.0],
+                      point_counts=[1.0, 2.0])
+        assert list(s) == [(1950, 1.0, 1), (1951, 2.0, 2)]
+
+    @pytest.mark.parametrize("row", ["100000000000000000000,1.0,1",
+                                     "1950,1.0,100000000000000000000"])
+    def test_from_csv_beyond_int64_is_value_error(self, row):
+        with pytest.raises(ValueError, match="malformed series CSV: .*64-bit"):
+            CEISeries.from_csv("birth_year,cei,point_count\n" + row + "\n")
 
     def test_csv_round_trip(self):
         s = series_of([0.1 + 0.2, 0.0, 7e-17], counts=[3, 0, 1],
@@ -148,8 +165,8 @@ class TestCeiSeries:
             cg.cei_series(field, other)
 
     def test_non_integer_axes_rejected(self):
-        surf = cg.gaussian_bump(4.0, domain=((-20, 20), (-20, 20)))
-        grid = cg.sample_grid(surf, -5, 5, -5, 5, step=0.5)
+        surf = smooth.gaussian_bump(4.0, domain=((-20, 20), (-20, 20)))
+        grid = smooth.sample_grid(surf, -5, 5, -5, 5, step=0.5)
         field = cg.compute_geometry_field(grid)
         with pytest.raises(ConsistencyError):
             cg.cei_series(field)
@@ -261,7 +278,7 @@ class TestAice:
         s = series_of(values, first_year=1900)
         window = (1900, 1900 + len(values) - 1)
         base = cg.aice(s, window).aice
-        scaled = cg.aice(s.scaled(k), window).aice
+        scaled = cg.aice(replace(s, values=s.values * k), window).aice
         assert abs(base - scaled) <= 1e-12 * max(1.0, abs(base))
 
     def test_translation_strictly_decreases(self):
@@ -422,11 +439,13 @@ class TestGoldenBytes:
         # one two-year and one single-year peak: both bracket-label forms
         assert [(p.start_year, p.end_year) for p in gaps.peaks] == [
             (1905, 1906), (1913, 1913)]
-        shown = cg.trim_series(a, 1920).scaled(2.0)
+        trimmed = cg.trim_series(a, 1920)
+        shown = replace(trimmed, values=trimmed.values * 2.0)
+        legend = [replace(a, source_label="a & <A>", sex=None),
+                  replace(b, source_label='b "B"')]
         return {
-            "svg": render_series_chart([a, b], title='A&B <x> "q"',
-                                       window=self.WINDOW, peaks=gaps.peaks,
-                                       labels=["a & <A>", 'b "B"']),
+            "svg": render_series_chart(legend, title='A&B <x> "q"',
+                                       window=self.WINDOW, peaks=gaps.peaks),
             "aice_json": report.to_json(), "aice_csv": report.to_csv(),
             "gaps_json": gaps.to_json(), "gaps_csv": gaps.to_csv(),
             "series_csv": shown.to_csv(), "series_json": shown.to_json(),

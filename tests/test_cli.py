@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import xml.etree.ElementTree as ET
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cohortgeo import (
     CEISeries,
@@ -23,6 +27,7 @@ from cohortgeo import (
 )
 from cohortgeo.analytics import DEFAULT_TRIM_YEAR, DEFAULT_WINDOW
 from cohortgeo.cli import main
+from cohortgeo.svgchart import _ticks
 from conftest import make_hmd_text, package_env
 
 
@@ -96,6 +101,15 @@ class TestSynthetic:
         argv = [a.format(ridge=ridge_csv, series=series_csv) for a in argv]
         assert run(*argv) == 2
         assert "is reversed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("synthetic", "--shape", "bump", "--years", "0:4", "--ages", "0:4",
+         "--sigma", "1e300"),
+        ("plot", "{series}", "--width", str(10**400)),
+    ], ids=["bump-sigma", "plot-width"])
+    def test_parameter_too_large_exit_2(self, argv, series_csv, capsys):
+        assert run(*(a.format(series=series_csv) for a in argv)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestCei:
@@ -277,10 +291,10 @@ class TestPlot:
         assert "a<b&c" in texts
 
     def test_title_and_legend_text_escaped(self):
-        series = CEISeries(birth_years=np.arange(1900, 1905), values=np.ones(5),
-                           point_counts=np.ones(5, dtype=int))
         label = "C\u00f4te \"d\" & <Ivoire> 'x'"
-        svg = render_series_chart([series], title=label, labels=[label])
+        series = CEISeries(birth_years=np.arange(1900, 1905), values=np.ones(5),
+                           point_counts=np.ones(5, dtype=int), source_label=label)
+        svg = render_series_chart([series], title=label)
         escaped = "C\u00f4te \"d\" &amp; &lt;Ivoire&gt; 'x'</text>"
         assert svg.count(escaped) == 2
 
@@ -296,6 +310,40 @@ class TestPlot:
     def test_series_field_over_reader_limit_exit_2(self, tmp_path, capsys):
         path = tmp_path / "wide.csv"
         path.write_text("birth_year,cei,point_count\n1900," + "1" * 140_000 + ",3\n")
+        assert run("plot", str(path)) == 2
+        assert capsys.readouterr().err.startswith("error: malformed series CSV")
+
+    def test_birth_years_past_2_to_51_chart(self, tmp_path):
+        # adding a tick step of 0.2 no longer moves a float this large
+        path = tmp_path / "far.csv"
+        path.write_text("birth_year,cei,point_count\n"
+                        "2251799813685248,1.0,1\n2251799813685249,2.0,1\n")
+        assert len(_ticks(2.0**51, 2.0**51 + 1, 8)) <= 10
+        assert run("plot", str(path), "-o", str(tmp_path / "far.svg")) == 0
+
+    def test_tiny_value_ticks_stay_apart(self, ridge_csv, capsys):
+        assert _ticks(0.0, 3.3e-12, 5) == [0.0, 1e-12, 2e-12, 3e-12]
+        assert run("cei", str(ridge_csv), "--input-format", "csv",
+                   "--first-year", "1900", "--first-age", "0",
+                   "--z-scale", "1e-12", "--format", "svg") == 0
+        root = ET.fromstring(capsys.readouterr().out)
+        ns = "{http://www.w3.org/2000/svg}"
+        y_labels = [(el.text, el.get("y")) for el in root.iter(f"{ns}text")
+                    if el.get("text-anchor") == "end"]
+        assert len(y_labels) >= 3
+        assert len({text for text, _ in y_labels}) == len(y_labels)
+        assert len({y for _, y in y_labels}) == len(y_labels)
+
+    def test_values_near_float_max_chart(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("birth_year,cei,point_count\n1950,1e308,1\n1951,1.75e308,1\n")
+        assert run("plot", str(path), "-o", str(tmp_path / "big.svg")) == 0
+
+    @pytest.mark.parametrize("row", ["100000000000000000000,1.0,1",
+                                     "1950,1.0,100000000000000000000"])
+    def test_series_beyond_int64_exit_2(self, row, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text("birth_year,cei,point_count\n" + row + "\n")
         assert run("plot", str(path)) == 2
         assert capsys.readouterr().err.startswith("error: malformed series CSV")
 
@@ -440,3 +488,138 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("birth_year,cei,point_count")
+
+
+# --- exit-code contract ------------------------------------------------------
+
+_BAD_RATES = [".", "nan", "inf", "-0.5", "0", "1e308", "1e-320", "x", "",
+              "100000000000000000000"]
+_BIG_INTS = [0, 1900, -5, 2**51, 2**53 - 2, 2**53, 2**63, 10**20, -10**20]
+_FLOATS = ["1", "1e-12", "1e-300", "1e12", "1e300", "0", "-1", "inf", "nan", "0.3"]
+
+
+def _spoil(draw, rows: list[list[str]], bad: list[str], first_col: int = 0) -> None:
+    """Maybe replace one cell at or right of ``first_col`` by an odd token:
+    the rest of the file stays valid, so later stages get exercised too."""
+    if rows and draw(st.booleans()):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(first_col, len(row) - 1))] = draw(st.sampled_from(bad))
+
+
+@st.composite
+def _hmd_texts(draw) -> str:
+    y0 = draw(st.sampled_from(_BIG_INTS))
+    ages = [str(a) for a in range(draw(st.integers(1, 6)))]
+    if draw(st.booleans()):
+        ages[-1] += "+"
+    rates = st.floats(1e-6, 1.0).map(repr)
+    rows = [[str(y0 + i), a, draw(rates), draw(rates), draw(rates)]
+            for i in range(draw(st.integers(1, 6))) for a in ages]
+    _spoil(draw, rows, _BAD_RATES, first_col=2)
+    rows = draw(st.permutations(rows))[:len(rows) - draw(st.integers(0, 1))]
+    return make_hmd_text(rows)
+
+
+@st.composite
+def _matrix_texts(draw) -> str:
+    n_cols = draw(st.integers(1, 6))
+    rows = [[repr(draw(st.floats(1e-6, 1.0))) for _ in range(n_cols)]
+            for _ in range(draw(st.integers(1, 6)))]
+    _spoil(draw, rows, _BAD_RATES)
+    return "".join(",".join(r) + "\n" for r in rows)
+
+
+@st.composite
+def _series_texts(draw) -> str:
+    y0 = draw(st.sampled_from(_BIG_INTS))
+    rows = [[str(y0 + k), repr(draw(st.floats(0.0, 1e308))), "3"]
+            for k in range(draw(st.integers(0, 30)))]
+    _spoil(draw, rows, ["0", "1e-320", "1.75e308", "-1", "nan", "inf", "1.5", "x",
+                        "100000000000000000000"], first_col=1)
+    return "".join(",".join(r) + "\n" for r in [["birth_year", "cei", "point_count"]] + rows)
+
+
+def _range(draw) -> str:
+    lo = draw(st.sampled_from(_BIG_INTS))
+    return f"{lo}:{lo + draw(st.integers(-2, 30))}"
+
+
+@st.composite
+def _invocations(draw, directory) -> list[str]:
+    """A random command line plus the input files it names."""
+    command = draw(st.sampled_from(["cei", "aice", "gaps", "surface",
+                                    "synthetic", "plot"]))
+    argv = [command]
+
+    def write(text: str) -> str:
+        path = directory / f"in{draw(st.integers(0, 3))}.txt"
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    def maybe(*flag_and_value) -> None:
+        if draw(st.booleans()):
+            argv.extend(flag_and_value)
+
+    numbers = st.sampled_from(_FLOATS)
+    if command == "plot":
+        for _ in range(draw(st.integers(1, 3))):
+            argv.append(write(draw(_series_texts())))
+        maybe("--title", draw(st.text(max_size=8)))
+        maybe("--width", str(draw(st.sampled_from([0, 80, 300, 900, 10**6]))))
+        maybe("--height", str(draw(st.sampled_from([0, 60, 420, 10**6]))))
+        maybe("--window", _range(draw))
+        maybe("--no-window")
+        maybe("--no-peaks")
+        maybe("--baseline-window", str(draw(st.sampled_from([-1, 1, 2, 11, 10**20]))))
+        maybe("--threshold", draw(numbers))
+    elif command == "synthetic":
+        argv += ["--shape", draw(st.sampled_from(["plane", "sphere", "ridge",
+                                                  "bump", "gompertz"])),
+                 "--years", _range(draw), "--ages", _range(draw)]
+        for flag in ("--a", "--radius", "--width", "--amplitude", "--sigma",
+                     "--base-rate", "--age-slope", "--improvement"):
+            maybe(flag, draw(numbers))
+        maybe("--center", f"{draw(numbers)},{draw(numbers)}")
+        maybe("--format", draw(st.sampled_from(["csv", "json"])))
+    else:
+        if draw(st.booleans()):
+            argv.append(write(draw(_hmd_texts())))
+        else:
+            argv += [write(draw(_matrix_texts())), "--input-format", "csv"]
+            maybe("--first-year", str(draw(st.sampled_from(_BIG_INTS))))
+            maybe("--first-age", str(draw(st.sampled_from(_BIG_INTS))))
+        maybe("--sex", draw(st.sampled_from(["female", "male", "total"])))
+        maybe("--z-scale", draw(numbers))
+        maybe("--log")
+        if command != "surface":
+            maybe("--trim-year", str(draw(st.sampled_from(_BIG_INTS))))
+            maybe("--no-trim")
+            maybe("--normalization", draw(st.sampled_from(["sum", "mean"])))
+            maybe("--window", _range(draw))
+        if command == "gaps":
+            maybe("--baseline-window", str(draw(st.sampled_from([-1, 1, 2, 3, 11]))))
+            maybe("--threshold", draw(numbers))
+        formats = ["csv", "json", "svg"] if command == "cei" else ["csv", "json"]
+        maybe("--format", draw(st.sampled_from(formats)))
+    maybe("-o", str(directory / "out" / "result.txt"))
+    maybe(draw(st.sampled_from(["--bogus", "--format=pdf", "--window=1:x"])))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(data=st.data())
+def test_exit_code_contract(fuzz_dir, data):
+    """Any command line exits 0, 2, 3 or 4; nothing else escapes ``main``."""
+    argv = data.draw(_invocations(fuzz_dir))
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    assert code in (0, 2, 3, 4), argv

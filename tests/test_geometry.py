@@ -20,42 +20,36 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 import cohortgeo as cg
-from cohortgeo import geometry
+from cohortgeo import geometry, smooth
 from cohortgeo import (
-    AGE,
     COHORT,
     CROSS,
-    PERIOD,
     AmbiguousNormalError,
     DegenerateStencilError,
     DegenerateTangentError,
     GeometryOptions,
-    StencilCurve,
     SurfaceSizeError,
 )
+from cohortgeo.geometry import AGE, PERIOD
 from cohortgeo.surface import SurfaceGrid
 
 from test_surface import make_surface
 
 
-def curve(q0, q1, q2) -> StencilCurve:
-    return StencilCurve.from_points(q0, q1, q2)
-
-
 class TestDiscreteParameter:
     def test_equal_chords(self):
-        s = cg.discrete_parameter((0, 0, 0), (1, 1, 1), (2, 2, 2))
+        s = geometry.discrete_parameter((0, 0, 0), (1, 1, 1), (2, 2, 2))
         assert s == (0.0, 0.5, 1.0)
 
     def test_unequal_chords(self):
-        s = cg.discrete_parameter((0, 0, 0), (1, 0, 0), (4, 0, 0))
+        s = geometry.discrete_parameter((0, 0, 0), (1, 0, 0), (4, 0, 0))
         assert s == (0.0, 0.25, 1.0)
 
     def test_coincident_points_rejected(self):
         with pytest.raises(DegenerateStencilError):
-            cg.discrete_parameter((1, 2, 3), (1, 2, 3), (4, 5, 6))
+            geometry.discrete_parameter((1, 2, 3), (1, 2, 3), (4, 5, 6))
         with pytest.raises(DegenerateStencilError):
-            cg.discrete_parameter((0, 0, 0), (1, 2, 3), (1, 2, 3))
+            geometry.discrete_parameter((0, 0, 0), (1, 2, 3), (1, 2, 3))
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))
@@ -64,19 +58,19 @@ class TestDiscreteParameter:
         pts = rng.normal(size=(3, 3))
         if np.allclose(pts[0], pts[1]) or np.allclose(pts[1], pts[2]):
             return
-        s0, s1, s2 = cg.discrete_parameter(*pts)
+        s0, s1, s2 = geometry.discrete_parameter(*pts)
         assert s0 == 0.0 and s2 == 1.0 and 0.0 < s1 < 1.0
 
 
 class TestLsDerivative:
     def test_affine_exact(self):
-        assert cg.ls_derivative((0.0, 1.0, 2.0), (0.0, 0.5, 1.0)) == 2.0
+        assert geometry._ls_slope(0.0, 1.0, 2.0, 0.0, 0.5, 1.0) == 2.0
 
     def test_symmetric_dip_zero(self):
-        assert cg.ls_derivative((1.0, 0.0, 1.0), (0.0, 0.5, 1.0)) == 0.0
+        assert geometry._ls_slope(1.0, 0.0, 1.0, 0.0, 0.5, 1.0) == 0.0
 
     def test_constant_zero(self):
-        assert cg.ls_derivative((3.0, 3.0, 3.0), (0.0, 0.3, 1.0)) == 0.0
+        assert geometry._ls_slope(3.0, 3.0, 3.0, 0.0, 0.3, 1.0) == 0.0
 
     def test_matches_independent_minimizer(self):
         # objective: sum over the two outer samples of the squared residual
@@ -92,25 +86,25 @@ class TestLsDerivative:
                         + (v[2] - v[1] - d * (1.0 - s1)) ** 2)
 
             best = minimize_scalar(objective)
-            ours = cg.ls_derivative(v, params)
+            ours = geometry._ls_slope(*v, *params)
             assert abs(ours - best.x) < 1e-7
             assert objective(ours) <= best.fun + 1e-12
 
 
 class TestDiscreteTangent:
     def test_collinear_equal_spacing(self):
-        T, V = cg.discrete_tangent(curve((0, 0, 0), (1, 1, 1), (2, 2, 2)))
+        T, V = geometry.discrete_tangent((0, 0, 0), (1, 1, 1), (2, 2, 2))
         assert np.allclose(T, (2.0, 2.0, 2.0), atol=1e-15)
         assert np.allclose(V, np.ones(3) / math.sqrt(3.0), atol=1e-15)
 
     def test_symmetric_dip_kills_z(self):
-        T, V = cg.discrete_tangent(curve((-1, 0, 1), (0, 0, 0), (1, 0, 1)))
+        T, V = geometry.discrete_tangent((-1, 0, 1), (0, 0, 0), (1, 0, 1))
         assert np.allclose(T, (2.0, 0.0, 0.0), atol=1e-15)
         assert np.allclose(V, (1.0, 0.0, 0.0), atol=1e-15)
 
     def test_backtracking_curve_degenerate(self):
         with pytest.raises(DegenerateTangentError):
-            cg.discrete_tangent(curve((0, 0, 0), (1, 0, 0), (0, 0, 0)))
+            geometry.discrete_tangent((0, 0, 0), (1, 0, 0), (0, 0, 0))
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))
@@ -118,26 +112,26 @@ class TestDiscreteTangent:
         rng = np.random.default_rng(seed)
         pts = rng.normal(size=(3, 3)) * rng.uniform(0.1, 10)
         try:
-            _, V = cg.discrete_tangent(curve(*pts))
+            _, V = geometry.discrete_tangent(*pts)
         except (DegenerateStencilError, DegenerateTangentError):
             return
         assert abs(np.linalg.norm(V) - 1.0) < 1e-12
 
 
-def circle_stencil(r: float, theta: float) -> StencilCurve:
+def circle_stencil(r: float, theta: float) -> tuple[np.ndarray, ...]:
     angles = np.array([-theta, 0.0, theta])
     pts = np.stack([r * np.sin(angles), np.zeros(3), r * np.cos(angles)], axis=1)
-    return curve(*pts)
+    return tuple(pts)
 
 
 class TestCurvatureVector:
     def test_straight_line_any_spacing(self):
-        cv = cg.curvature_vector(curve((0, 0, 0), (1, 1, 1), (5, 5, 5)))
+        cv = geometry.curvature_vector((0, 0, 0), (1, 1, 1), (5, 5, 5))
         assert np.allclose(cv, 0.0, atol=1e-14)
 
     def test_circle_magnitude_and_direction(self):
         r, theta = 2.0, 0.2
-        cv = cg.curvature_vector(circle_stencil(r, theta))
+        cv = geometry.curvature_vector(*circle_stencil(r, theta))
         # exact discrete value: 1 / (r cos(theta/2)), pointing at the centre
         expected = 1.0 / (r * math.cos(theta / 2.0))
         assert abs(np.linalg.norm(cv) - expected) < 1e-12
@@ -148,15 +142,15 @@ class TestCurvatureVector:
         r = 2.0
         errs = []
         for theta in (0.2, 0.1):
-            cv = cg.curvature_vector(circle_stencil(r, theta))
+            cv = geometry.curvature_vector(*circle_stencil(r, theta))
             errs.append(abs(np.linalg.norm(cv) - 1.0 / r))
         # halving theta should cut the error ~4x; demand at least 3x
         assert errs[0] / errs[1] >= 3.0
 
     def test_parabola_vertex(self):
         for h in (0.1, 0.05):
-            cv = cg.curvature_vector(curve(
-                (-h, 0, h * h / 2), (0, 0, 0), (h, 0, h * h / 2)))
+            cv = geometry.curvature_vector(
+                (-h, 0, h * h / 2), (0, 0, 0), (h, 0, h * h / 2))
             expected_z = 1.0 / math.sqrt(1.0 + h * h / 4.0)
             assert abs(cv[0]) < 1e-14 and abs(cv[1]) < 1e-14
             assert abs(cv[2] - expected_z) < 1e-12
@@ -166,7 +160,7 @@ class TestCurvatureVector:
 
 class TestEstimateNormal:
     def test_horizontal_tangents(self):
-        n = cg.estimate_normal((1, 0, 0), (0, 1, 0),
+        n = geometry.estimate_normal((1, 0, 0), (0, 1, 0),
                                (1 / math.sqrt(2), 1 / math.sqrt(2), 0),
                                (1 / math.sqrt(2), -1 / math.sqrt(2), 0))
         assert np.allclose(n, (0, 0, 1), atol=1e-12)
@@ -175,7 +169,7 @@ class TestEstimateNormal:
         # tangents spanning the plane z = t
         s2 = 1 / math.sqrt(2)
         s3 = 1 / math.sqrt(3)
-        n = cg.estimate_normal((s2, 0, s2), (0, 1, 0),
+        n = geometry.estimate_normal((s2, 0, s2), (0, 1, 0),
                                (s3, s3, s3), (s3, -s3, s3))
         assert np.allclose(n, (-s2, 0, s2), atol=1e-12)
 
@@ -183,7 +177,7 @@ class TestEstimateNormal:
         s2 = 1 / math.sqrt(2)
         s3 = 1 / math.sqrt(3)
         tangents = np.array([(s2, 0, s2), (0, 1, 0), (s3, s3, s3), (s3, -s3, s3)])
-        n = cg.estimate_normal(*tangents)
+        n = geometry.estimate_normal(*tangents)
 
         def f(vec):
             return float(np.sum((tangents @ vec) ** 2))
@@ -208,7 +202,7 @@ class TestEstimateNormal:
             w = np.linalg.eigvalsh(M)
             if w[1] - w[0] < 1e-6:
                 continue
-            n = cg.estimate_normal(*tangents)
+            n = geometry.estimate_normal(*tangents)
             f_n = float(np.sum((tangents @ n) ** 2))
             randoms = rng.normal(size=(10_000, 3))
             randoms /= np.linalg.norm(randoms, axis=1, keepdims=True)
@@ -219,28 +213,28 @@ class TestEstimateNormal:
     def test_parallel_tangents_ambiguous(self):
         v = np.array([1.0, 0.0, 0.0])
         with pytest.raises(AmbiguousNormalError):
-            cg.estimate_normal(v, v, v, v)
+            geometry.estimate_normal(v, v, v, v)
 
     def test_sign_convention_vertical_plane(self):
         # tangents spanning the plane t = 0; both +x and -x normals solve it
         s2 = 1 / math.sqrt(2)
-        n = cg.estimate_normal((0, 0, 1), (0, 1, 0), (0, s2, s2), (0, s2, -s2))
+        n = geometry.estimate_normal((0, 0, 1), (0, 1, 0), (0, s2, s2), (0, s2, -s2))
         assert np.allclose(n, (1, 0, 0), atol=1e-12)
 
     def test_unit_norm(self):
         rng = np.random.default_rng(3)
         tangents = rng.normal(size=(4, 3))
         tangents /= np.linalg.norm(tangents, axis=1, keepdims=True)
-        n = cg.estimate_normal(*tangents)
+        n = geometry.estimate_normal(*tangents)
         assert abs(np.linalg.norm(n) - 1.0) < 1e-12
 
 
 class TestNormalCurvature:
     def test_zero_curvature_vector(self):
-        assert cg.normal_curvature((0, 0, 1), (0, 0, 0)) == 0.0
+        assert geometry.normal_curvature((0, 0, 1), (0, 0, 0)) == 0.0
 
     def test_plain_dot(self):
-        assert cg.normal_curvature((0, 0, 1), (0.3, -0.1, 0.25)) == 0.25
+        assert geometry.normal_curvature((0, 0, 1), (0.3, -0.1, 0.25)) == 0.25
 
 
 class TestGeometryOptions:
@@ -366,9 +360,9 @@ class TestComputeGeometryField:
         assert np.abs((nc[..., PERIOD] - nc[..., AGE].T)[mask]).max() < 1e-12
 
     def test_ridge_bends_across_not_along(self):
-        surf = cg.gaussian_ridge(width=50.0, amplitude=1.0, center=0.0,
+        surf = smooth.gaussian_ridge(width=50.0, amplitude=1.0, center=0.0,
                                  domain=((-30, 30), (-30, 30)))
-        grid = cg.sample_grid(surf, -20, 20, -20, 20, step=1.0)
+        grid = smooth.sample_grid(surf, -20, 20, -20, 20, step=1.0)
         field = cg.compute_geometry_field(grid)
         mid = 20  # t == x == 0, on the ridge crest
         assert field.valid[mid, mid]
@@ -378,8 +372,8 @@ class TestComputeGeometryField:
 
     def test_sphere_all_directions_agree(self):
         R = 200.0
-        surf = cg.sphere_cap(R, center=(14.5, 14.5), domain=((-1, 31), (-1, 31)))
-        grid = cg.sample_grid(surf, 0, 29, 0, 29, step=1.0)
+        surf = smooth.sphere_cap(R, center=(14.5, 14.5), domain=((-1, 31), (-1, 31)))
+        grid = smooth.sample_grid(surf, 0, 29, 0, 29, step=1.0)
         field = cg.compute_geometry_field(grid)
         nc = field.normal_curvatures[field.valid]
         assert np.abs(nc + 1.0 / R).max() < 0.02 / R
@@ -395,8 +389,8 @@ class TestComputeGeometryField:
         assert np.abs(f_opt.normal_curvatures - f_raw.normal_curvatures).max() < 1e-12
 
     def test_float_grid_spacing_supported(self):
-        surf = cg.gaussian_bump(4.0, center=(0.0, 0.0), domain=((-20, 20), (-20, 20)))
-        grid = cg.sample_grid(surf, -5, 5, -5, 5, step=0.5)
+        surf = smooth.gaussian_bump(4.0, center=(0.0, 0.0), domain=((-20, 20), (-20, 20)))
+        grid = smooth.sample_grid(surf, -5, 5, -5, 5, step=0.5)
         field = cg.compute_geometry_field(grid)
         assert field.valid.sum() > 0
         assert field.years[1] - field.years[0] == 0.5

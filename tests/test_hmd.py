@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import re
 import subprocess
 import sys
@@ -66,11 +65,6 @@ class TestColumnMapping:
         result = parse_hmd(text)
         assert result.title == "Atlantis, Death rates (period 1x1)"
         assert result.total.source_label == result.title
-
-    def test_accepts_stream_input(self):
-        text = make_hmd_text([(2000, 0, "0.1", "0.1", "0.1")])
-        result = parse_hmd(io.StringIO(text))
-        assert result.total.rate(2000, 0) == 0.1
 
 
 class TestFormatErrors:
@@ -367,12 +361,6 @@ class TestLoadHmd:
         surface = load_hmd(path, sex="female")
         assert surface.sex is Sex.FEMALE
 
-    def test_load_all(self, small_hmd_text, tmp_path):
-        path = tmp_path / "mini.Mx_1x1.txt"
-        path.write_text(small_hmd_text)
-        result = load_hmd(path)
-        assert set(result.surfaces) == {Sex.FEMALE, Sex.MALE, Sex.TOTAL}
-
     def test_reads_utf8_under_ascii_locale(self, small_hmd_text, tmp_path):
         lines = small_hmd_text.splitlines(keepends=True)
         lines[0] = "Österreich, Sterberaten (Periode 1x1)\n"
@@ -382,7 +370,7 @@ class TestLoadHmd:
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys; from cohortgeo import load_hmd; "
-             "print(ascii(load_hmd(sys.argv[1]).title))", str(path)],
+             "print(ascii(load_hmd(sys.argv[1], 'total').source_label))", str(path)],
             capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0, proc.stderr

@@ -2,11 +2,34 @@
 
 from __future__ import annotations
 
+import ast
 import subprocess
 import sys
+from pathlib import Path
 
 import cohortgeo
 from conftest import package_env
+
+# The pipeline, its types and its errors. The analytic oracle is reached as
+# ``cohortgeo.smooth`` and the scalar reference steps as ``cohortgeo.geometry``.
+PUBLIC_NAMES = {
+    "__version__",
+    # ingest
+    "HmdParseResult", "MortalitySurface", "Sex", "SurfaceGrid",
+    "load_hmd", "parse_csv_matrix", "parse_hmd", "parse_json", "serialize",
+    # geometry
+    "COHORT", "CROSS", "GeometryField", "GeometryOptions",
+    "compute_geometry_field", "compute_point_geometry", "prepare_grid",
+    # analytics and emit
+    "CEISeries", "CohortReport", "Peak", "UShapeReport", "aice", "cei_series",
+    "detect_peaks", "trim_series", "u_shape_diagnostic", "render_series_chart",
+    # errors
+    "CohortGeoError", "IngestError", "FormatError", "StructuralError",
+    "GeometryError", "AmbiguousNormalError", "DegenerateStencilError",
+    "DegenerateTangentError", "SurfaceSizeError", "AnalyticsError",
+    "ConsistencyError", "EmptySeriesError", "ParameterError", "QuadratureError",
+    "SampleSizeError", "UndefinedAiceError",
+}
 
 
 def test_all_names_resolve_once():
@@ -14,6 +37,33 @@ def test_all_names_resolve_once():
     assert len(names) == len(set(names))
     for name in names:
         getattr(cohortgeo, name)
+
+
+def test_public_names_are_exactly_the_pipeline():
+    assert set(cohortgeo.__all__) == PUBLIC_NAMES
+    assert len(cohortgeo.__all__) == 43
+
+
+def test_oracle_imports_nothing_from_the_kernel():
+    tree = ast.parse(Path(cohortgeo.__file__).with_name("smooth.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            imported.add(module)
+            imported.update(module.rstrip(".") + "." + a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+    kernel = {"geometry", "analytics", "hmd", "cli"}
+    assert not {m for m in imported if kernel & set(m.split("."))}, imported
+
+
+def test_package_import_leaves_the_oracle_unloaded():
+    probe = "import sys, cohortgeo; print('cohortgeo.smooth' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=package_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_cli_import_loads_no_network_modules():

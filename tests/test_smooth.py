@@ -9,7 +9,8 @@ import pytest
 from scipy.integrate import quad
 
 import cohortgeo as cg
-from cohortgeo import AnalyticSurface, QuadratureError
+from cohortgeo import QuadratureError, smooth
+from cohortgeo.smooth import AnalyticSurface
 
 
 class TestSelfCheck:
@@ -41,78 +42,78 @@ class TestSelfCheck:
 
     def test_empty_domain_rejected(self):
         with pytest.raises(ValueError):
-            cg.plane(1.0, 1.0, 0.0, domain=((5.0, 5.0), (0.0, 1.0)))
+            smooth.plane(1.0, 1.0, 0.0, domain=((5.0, 5.0), (0.0, 1.0)))
 
     def test_surface_off_its_real_domain_rejected(self):
         # a sphere of radius 5 is not real-valued over most of [0, 50]^2
         with pytest.raises(ValueError, match="not finite") as info:
-            cg.sphere_cap(5.0, domain=((0.0, 50.0), (0.0, 50.0)))
+            smooth.sphere_cap(5.0, domain=((0.0, 50.0), (0.0, 50.0)))
         assert "nan" not in str(info.value).lower()
 
     def test_catalog_members_construct(self):
-        cg.plane(0.3, 0.7, 5.0)
-        cg.sphere_cap(500.0)
-        cg.gaussian_ridge(width=50.0)
-        cg.gaussian_bump(8.0)
-        cg.gompertz_surface()
+        smooth.plane(0.3, 0.7, 5.0)
+        smooth.sphere_cap(500.0)
+        smooth.gaussian_ridge(width=50.0)
+        smooth.gaussian_bump(8.0)
+        smooth.gompertz_surface()
 
 
 class TestNormalCurvature:
     def test_plane_zero_any_direction(self):
-        surf = cg.plane(0.4, -0.0, 2.0, domain=((0, 10), (0, 10)))
+        surf = smooth.plane(0.4, -0.0, 2.0, domain=((0, 10), (0, 10)))
         for d in ((1, 1), (1, -1), (0.3, 0.9)):
-            assert abs(cg.smooth_normal_curvature(surf, (4.0, 5.0), d)) < 1e-15
+            assert abs(smooth.smooth_normal_curvature(surf, (4.0, 5.0), d)) < 1e-15
 
     def test_sphere_minus_one_over_radius(self):
         R = 500.0
-        surf = cg.sphere_cap(R, center=(0.0, 0.0))
+        surf = smooth.sphere_cap(R, center=(0.0, 0.0))
         rng = np.random.default_rng(2)
         for _ in range(20):
             point = rng.uniform(-100, 100, size=2)
             d = rng.normal(size=2)
-            nc = cg.smooth_normal_curvature(surf, point, d)
+            nc = smooth.smooth_normal_curvature(surf, point, d)
             assert abs(nc + 1.0 / R) < 1e-12
 
     def test_sphere_diagonals_agree(self):
-        surf = cg.sphere_cap(500.0)
+        surf = smooth.sphere_cap(500.0)
         p = (40.0, -35.0)
-        nc1 = cg.smooth_normal_curvature(surf, p, (1, 1))
-        nc2 = cg.smooth_normal_curvature(surf, p, (1, -1))
+        nc1 = smooth.smooth_normal_curvature(surf, p, (1, 1))
+        nc2 = smooth.smooth_normal_curvature(surf, p, (1, -1))
         assert abs(nc1 - nc2) < 1e-12
 
     def test_ridge_flat_along_cohort(self):
-        surf = cg.gaussian_ridge(width=50.0, amplitude=1.0)
+        surf = smooth.gaussian_ridge(width=50.0, amplitude=1.0)
         for u in (-7.0, 0.0, 3.0):
-            nc = cg.smooth_normal_curvature(surf, (u / 2, -u / 2), (1, 1))
+            nc = smooth.smooth_normal_curvature(surf, (u / 2, -u / 2), (1, 1))
             assert nc == 0.0  # d^T H d cancels exactly for d = (1, 1)
 
     def test_ridge_cross_closed_form(self):
         w, amp = 50.0, 1.0
-        surf = cg.gaussian_ridge(width=w, amplitude=amp)
+        surf = smooth.gaussian_ridge(width=w, amplitude=amp)
         for u in (0.0, 2.5, -6.0):
             g = amp * math.exp(-u * u / w)
             g1 = -2.0 * u / w * g
             g2 = (4.0 * u * u / (w * w) - 2.0 / w) * g
             expected = 4.0 * g2 / ((2.0 + 4.0 * g1 * g1)
                                    * math.sqrt(1.0 + 2.0 * g1 * g1))
-            nc = cg.smooth_normal_curvature(surf, (u / 2, -u / 2), (1, -1))
+            nc = smooth.smooth_normal_curvature(surf, (u / 2, -u / 2), (1, -1))
             assert abs(nc - expected) < 1e-14
 
     def test_direction_scaling_invariance(self):
-        surf = cg.gaussian_bump(5.0)
+        surf = smooth.gaussian_bump(5.0)
         p = (2.0, -3.0)
-        base = cg.smooth_normal_curvature(surf, p, (0.6, -1.7))
+        base = smooth.smooth_normal_curvature(surf, p, (0.6, -1.7))
         for k in (7.3, -2.0, 1e-3):
-            scaled = cg.smooth_normal_curvature(surf, p, (0.6 * k, -1.7 * k))
+            scaled = smooth.smooth_normal_curvature(surf, p, (0.6 * k, -1.7 * k))
             assert abs(scaled - base) < 1e-12
 
     def test_zero_direction_rejected(self):
-        surf = cg.plane(1.0, 1.0, 0.0)
+        surf = smooth.plane(1.0, 1.0, 0.0)
         with pytest.raises(ValueError):
-            cg.smooth_normal_curvature(surf, (1.0, 1.0), (0.0, 0.0))
+            smooth.smooth_normal_curvature(surf, (1.0, 1.0), (0.0, 0.0))
 
     def test_normal_is_upward_unit(self):
-        surf = cg.gaussian_bump(5.0)
+        surf = smooth.gaussian_bump(5.0)
         n = surf.normal(1.0, 2.0)
         assert abs(np.linalg.norm(n) - 1.0) < 1e-14
         assert n[2] > 0
@@ -124,19 +125,19 @@ class TestNormalCurvature:
 
 class TestCrossDirection:
     def test_plane_z_equals_t(self):
-        surf = cg.plane(1.0, 0.0, 0.0, domain=((0, 10), (0, 10)))
-        dt, dx = cg.cohort_cross_direction(surf, 5.0, 5.0)
+        surf = smooth.plane(1.0, 0.0, 0.0, domain=((0, 10), (0, 10)))
+        dt, dx = smooth.cohort_cross_direction(surf, 5.0, 5.0)
         assert abs(dt - 2.0 / 3.0) < 1e-15
         assert abs(dx + 4.0 / 3.0) < 1e-15
 
     def test_lifted_orthogonality(self):
         rng = np.random.default_rng(9)
-        surf = cg.gaussian_bump(6.0, center=(1.0, -2.0))
+        surf = smooth.gaussian_bump(6.0, center=(1.0, -2.0))
         for _ in range(20):
             t, x = rng.uniform(-10, 10, size=2)
             ft = float(surf.f_t(t, x))
             fx = float(surf.f_x(t, x))
-            dt, dx = cg.cohort_cross_direction(surf, t, x)
+            dt, dx = smooth.cohort_cross_direction(surf, t, x)
             lift_T = np.array([1.0, 1.0, ft + fx])
             lift_N = np.array([dt, dx, ft * dt + fx * dx])
             assert abs(np.dot(lift_T, lift_N)) < 1e-12
@@ -144,17 +145,17 @@ class TestCrossDirection:
 
 class TestSmoothCei:
     def test_plane_zero(self):
-        surf = cg.plane(0.2, 0.5, 1.0, domain=((-100, 100), (-100, 100)))
-        assert cg.smooth_cei(surf, 0.0, (-20.0, 20.0)) == 0.0
+        surf = smooth.plane(0.2, 0.5, 1.0, domain=((-100, 100), (-100, 100)))
+        assert smooth.smooth_cei(surf, 0.0, (-20.0, 20.0)) == 0.0
 
     def test_sphere_umbilic_vanishes(self):
-        surf = cg.sphere_cap(500.0)
-        val = cg.smooth_cei(surf, 3.0, (-50.0, 50.0))
+        surf = smooth.sphere_cap(500.0)
+        val = smooth.smooth_cei(surf, 3.0, (-50.0, 50.0))
         assert val < 1e-10
 
     def test_ridge_peaks_at_origin_cohort(self):
-        surf = cg.gaussian_ridge(width=50.0, domain=((-80, 80), (-80, 80)))
-        vals = {c: cg.smooth_cei(surf, c, (-30.0, 30.0))
+        surf = smooth.gaussian_ridge(width=50.0, domain=((-80, 80), (-80, 80)))
+        vals = {c: smooth.smooth_cei(surf, c, (-30.0, 30.0))
                 for c in (0, 3, 5, 10, -3, -10)}
         assert all(vals[0] > vals[c] for c in (3, 5, 10, -3, -10))
         # exp(-u^2/50) has inflection points at u = +/-5, so the cohort
@@ -164,63 +165,63 @@ class TestSmoothCei:
         assert abs(vals[10] - vals[-10]) < 1e-9
 
     def test_matches_scipy_quadrature(self):
-        surf = cg.gaussian_bump(6.0, center=(0.0, 5.0))
+        surf = smooth.gaussian_bump(6.0, center=(0.0, 5.0))
         c = -3.0
 
         def integrand(t):
             x = t - c
-            nc_t = cg.smooth_normal_curvature(surf, (t, x), (1, 1))
-            dn = cg.cohort_cross_direction(surf, t, x)
-            nc_n = cg.smooth_normal_curvature(surf, (t, x), dn)
+            nc_t = smooth.smooth_normal_curvature(surf, (t, x), (1, 1))
+            dn = smooth.cohort_cross_direction(surf, t, x)
+            nc_n = smooth.smooth_normal_curvature(surf, (t, x), dn)
             ft = float(surf.f_t(t, x))
             fx = float(surf.f_x(t, x))
             speed = math.sqrt(2.0 + (ft + fx) ** 2)
             return abs(nc_t - nc_n) * speed
 
-        ours = cg.smooth_cei(surf, c, (-8.0, 12.0))
+        ours = smooth.smooth_cei(surf, c, (-8.0, 12.0))
         ref, err = quad(integrand, -8.0, 12.0, limit=200)
         assert err < 1e-8
         assert abs(ours - ref) < 1e-6 * max(1.0, abs(ref))
 
     def test_quadrature_convergence_budget(self):
-        surf = cg.gaussian_bump(6.0)
+        surf = smooth.gaussian_bump(6.0)
         with pytest.raises(QuadratureError):
-            cg.smooth_cei(surf, 0.0, (-10.0, 10.0), quadrature_step=10.0,
+            smooth.smooth_cei(surf, 0.0, (-10.0, 10.0), quadrature_step=10.0,
                           rel_tol=1e-16, max_halvings=2)
 
     def test_deterministic(self):
-        surf = cg.gaussian_ridge(width=40.0)
-        a = cg.smooth_cei(surf, 1.0, (-20.0, 20.0))
-        b = cg.smooth_cei(surf, 1.0, (-20.0, 20.0))
+        surf = smooth.gaussian_ridge(width=40.0)
+        a = smooth.smooth_cei(surf, 1.0, (-20.0, 20.0))
+        b = smooth.smooth_cei(surf, 1.0, (-20.0, 20.0))
         assert a == b
 
     def test_domain_enforced(self):
-        surf = cg.gaussian_bump(5.0)  # default domain +-20
+        surf = smooth.gaussian_bump(5.0)  # default domain +-20
         with pytest.raises(ValueError, match="domain"):
-            cg.smooth_cei(surf, 0.0, (-50.0, 50.0))
+            smooth.smooth_cei(surf, 0.0, (-50.0, 50.0))
 
     def test_empty_range_rejected(self):
-        surf = cg.plane(1.0, 1.0, 0.0)
+        surf = smooth.plane(1.0, 1.0, 0.0)
         with pytest.raises(ValueError):
-            cg.smooth_cei(surf, 0.0, (5.0, 5.0))
+            smooth.smooth_cei(surf, 0.0, (5.0, 5.0))
 
 
 class TestMaterialization:
     def test_sample_grid_axes(self):
-        surf = cg.plane(0.1, 0.2, 3.0, domain=((-10, 10), (-10, 10)))
-        grid = cg.sample_grid(surf, -2, 2, -1, 1, step=0.5)
+        surf = smooth.plane(0.1, 0.2, 3.0, domain=((-10, 10), (-10, 10)))
+        grid = smooth.sample_grid(surf, -2, 2, -1, 1, step=0.5)
         assert np.allclose(grid.t, np.arange(-2, 2.25, 0.5))
         assert np.allclose(grid.x, np.arange(-1, 1.25, 0.5))
         assert grid.z[0, 0] == 0.1 * -2 + 0.2 * -1 + 3.0
 
     def test_sample_grid_bad_step(self):
-        surf = cg.plane(0.1, 0.2, 3.0)
+        surf = smooth.plane(0.1, 0.2, 3.0)
         with pytest.raises(ValueError):
-            cg.sample_grid(surf, 0, 5, 0, 5, step=0.0)
+            smooth.sample_grid(surf, 0, 5, 0, 5, step=0.0)
 
     def test_materialize_mortality_surface(self):
-        surf = cg.gompertz_surface()
-        ms = cg.materialize_mortality_surface(
+        surf = smooth.gompertz_surface()
+        ms = smooth.materialize_mortality_surface(
             surf, np.arange(1900, 1910), np.arange(0, 5))
         assert ms.n_years == 10 and ms.n_ages == 5
         assert ms.source_label.startswith("gompertz")
@@ -229,8 +230,8 @@ class TestMaterialization:
         assert np.all(np.diff(ms.rates, axis=1) > 0)
 
     def test_gompertz_pipeline_runs(self):
-        surf = cg.gompertz_surface()
-        ms = cg.materialize_mortality_surface(
+        surf = smooth.gompertz_surface()
+        ms = smooth.materialize_mortality_surface(
             surf, np.arange(1900, 1920), np.arange(0, 15))
         field = cg.compute_geometry_field(ms)
         assert field.valid.sum() == 18 * 13
