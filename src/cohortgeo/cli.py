@@ -24,7 +24,7 @@ import tempfile
 
 import numpy as np
 
-from . import analytics, smooth
+from . import analytics
 from .analytics import CEISeries, cei_series, detect_peaks, trim_series
 from .errors import AnalyticsError, GeometryError, IngestError
 from .geometry import GeometryOptions, compute_geometry_field
@@ -247,6 +247,8 @@ def _run_pipeline(args: argparse.Namespace) -> str:
 
 
 def _synthetic_surface(args: argparse.Namespace) -> MortalitySurface:
+    from . import smooth  # only this subcommand needs the analytic oracle
+
     (y0, y1) = args.years
     (a0, a1) = args.ages
     years = np.arange(y0, y1 + 1)

@@ -50,8 +50,6 @@ a single pass over the whole grid whatever the block height or scheduling.
 from __future__ import annotations
 
 import contextvars
-import csv
-import io
 import json
 import math
 import os
@@ -233,6 +231,13 @@ class GeometryField:
     Arrays are full grid size; border points and points rejected by the
     kernel have ``valid == False`` and all-zero fields. Direction index
     order is ``(cohort, cross, period, age)``.
+
+    :meth:`to_csv` and :meth:`to_json` export the coordinates, validity,
+    normals and normal curvatures. They format in bulk, a block of grid
+    rows at a time with one ``repr`` pass over each array's flattened
+    values, and write byte for byte what ``csv.writer`` with one ``repr``
+    per cell and ``json.dumps(indent=2)`` would, non-finite spellings
+    included.
     """
 
     years: np.ndarray                 # t coordinates, shape (ny,)
@@ -250,37 +255,98 @@ class GeometryField:
 
     def to_csv(self) -> str:
         """One row per grid point: coordinates, validity, normal, curvatures."""
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(
-            ["year", "age", "valid", "normal_t", "normal_x", "normal_z"]
-            + [f"nc_{name}" for name in DIRECTION_NAMES]
-        )
-        for i, t in enumerate(self.years):
-            for j, x in enumerate(self.ages):
-                writer.writerow(
-                    [_format_coord(t), _format_coord(x), int(self.valid[i, j])]
-                    + [repr(float(v)) for v in self.normals[i, j]]
-                    + [repr(float(v)) for v in self.normal_curvatures[i, j]]
-                )
-        return out.getvalue()
+        lines = [",".join(["year", "age", "valid", "normal_t", "normal_x", "normal_z"]
+                          + [f"nc_{name}" for name in DIRECTION_NAMES])]
+        ages = [_format_coord(x) for x in self.ages]
+        for rows in _row_blocks(len(self.years), len(ages)):
+            years = [_format_coord(t) for t in self.years[rows]]
+            normals = _repr_leaves(self.normals[rows])
+            curvatures = _repr_leaves(self.normal_curvatures[rows])
+            lines += map(",".join, zip([y for y in years for _ in ages],
+                                       ages * len(years),
+                                       _flag_leaves(self.valid[rows]),
+                                       *(normals[k::3] for k in range(3)),
+                                       *(curvatures[k::4] for k in range(4))))
+        return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        obj = {
-            "years": [float(t) for t in self.years],
-            "ages": [float(x) for x in self.ages],
-            "directions": list(DIRECTION_NAMES),
-            "options": self.options.label(),
-            "valid": self.valid.astype(int).tolist(),
-            "normals": self.normals.tolist(),
-            "normal_curvatures": self.normal_curvatures.tolist(),
+        """The export as ``json.dumps(obj, indent=2)`` would write it."""
+        members = {
+            "years": _json_array(self.years),
+            "ages": _json_array(self.ages),
+            "directions": [json.dumps(list(DIRECTION_NAMES), indent=2)
+                           .replace("\n", "\n  ")],
+            "options": [json.dumps(self.options.label())],
+            "valid": _json_array(self.valid),
+            "normals": _json_array(self.normals),
+            "normal_curvatures": _json_array(self.normal_curvatures),
         }
-        return json.dumps(obj, indent=2) + "\n"
+        # one join over every piece copies the text once
+        parts = []
+        for key, pieces in members.items():
+            parts += [",\n  " if parts else "{\n  ", json.dumps(key), ": ", *pieces]
+        parts.append("\n}\n")
+        return "".join(parts)
 
 
 def _format_coord(v: float) -> str:
     f = float(v)
     return str(int(f)) if f.is_integer() else repr(f)
+
+
+# The emitters format this many grid points at a time, so that only one
+# block's per-value strings are alive at once.
+_EMIT_POINTS = 8192
+
+
+def _row_blocks(ny: int, nx: int) -> list[slice]:
+    step = max(1, _EMIT_POINTS // max(nx, 1))
+    return [slice(i, i + step) for i in range(0, ny, step)]
+
+
+def _repr_leaves(a: np.ndarray) -> list[str]:
+    """``repr`` of every value of ``a`` as a float, in C order."""
+    return list(map(repr, np.asarray(a, dtype=float).ravel().tolist()))
+
+
+def _flag_leaves(valid: np.ndarray) -> list[str]:
+    return ["1" if v else "0" for v in valid.ravel().tolist()]
+
+
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_array(a: np.ndarray) -> list[str]:
+    """Pieces of ``json.dumps(a.tolist(), indent=2)`` for a bool or float
+    array that sits one level inside the top-level object.
+
+    Blocks of the first axis are formatted in turn; within a block the
+    leaf strings are joined level by level, innermost axis first.
+    """
+    if len(a) == 0:
+        return ["[]"]
+    sep = ",\n    "
+    pieces = ["[\n    "]
+    for rows in _row_blocks(len(a), a[0].size):
+        block = a[rows]
+        if block.dtype == bool:
+            items = _flag_leaves(block)
+        else:
+            items = _repr_leaves(block)
+            if not np.isfinite(block).all():
+                items = [_JSON_NONFINITE.get(item, item) for item in items]
+        for axis in range(a.ndim - 1, 0, -1):
+            n = a.shape[axis]
+            if n == 0:
+                items = ["[]"] * math.prod(block.shape[:axis])
+                continue
+            inner = "\n" + "  " * (axis + 2)
+            head, inner_sep, tail = "[" + inner, "," + inner, "\n" + "  " * (axis + 1) + "]"
+            items = [head + inner_sep.join(chunk) + tail
+                     for chunk in zip(*[iter(items)] * n)]
+        pieces += [sep.join(items), sep]
+    pieces[-1] = "\n  ]"
+    return pieces
 
 
 def compute_point_geometry(grid: SurfaceGrid, i: int, j: int):

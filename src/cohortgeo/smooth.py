@@ -292,15 +292,22 @@ def cylinder_ridge(profile: Callable, profile_d1: Callable, profile_d2: Callable
     )
 
 
+def _positive_finite(name: str, value: float) -> float:
+    v = float(value)
+    if not (v > 0 and math.isfinite(v)):
+        raise ValueError(f"{name} must be positive and finite, got {v!r}")
+    return v
+
+
 def gaussian_ridge(width: float = 50.0, amplitude: float = 1.0,
                    center: float = 0.0,
                    domain=((-50.0, 50.0), (-50.0, 50.0))) -> AnalyticSurface:
     """Cohort-aligned ridge, profile ``g(u) = amplitude * exp(-(u-center)^2 / width)``.
 
     ``u = t - x`` is the birth year, so ``center`` is the birth year the
-    ridge sits on.
+    ridge sits on. ``width`` must be positive and finite.
     """
-    w = float(width)
+    w = _positive_finite("width", width)
     amp = float(amplitude)
     u0 = float(center)
 
@@ -322,8 +329,9 @@ def gaussian_ridge(width: float = 50.0, amplitude: float = 1.0,
 
 def gaussian_bump(sigma: float, center=(0.0, 0.0), amplitude: float = 1.0,
                   domain=None) -> AnalyticSurface:
-    """Radially symmetric bump ``amp * exp(-rho^2 / (2 sigma^2))``."""
-    s2 = float(sigma) ** 2
+    """Radially symmetric bump ``amp * exp(-rho^2 / (2 sigma^2))``, for a
+    positive and finite ``sigma``."""
+    s2 = _positive_finite("sigma", sigma) ** 2
     amp = float(amplitude)
     t0, x0 = float(center[0]), float(center[1])
     if domain is None:

@@ -122,7 +122,9 @@ def render_series_chart(
                          f'width="{_fmt(sx(w1) - sx(w0))}" height="{_fmt(y0 - y1)}" '
                          f'fill="{_WINDOW_FILL}"/>')
 
-    for tick in _ticks(year_lo, year_hi, 8):
+    # a short series gets sub-year steps; birth years are whole, so only
+    # whole-year ticks are drawn
+    for tick in (t for t in _ticks(year_lo, year_hi, 8) if t == int(t)):
         px = sx(tick)
         line(px, y1, px, y0, _GRID_COLOR, 1)
         text(px, y0 + 16, int(tick), 11)

@@ -111,6 +111,16 @@ class TestSynthetic:
         assert run(*(a.format(series=series_csv) for a in argv)) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("shape, flag, value", [
+        ("ridge", "--width", "0"), ("ridge", "--width", "-1"),
+        ("bump", "--sigma", "-2"), ("bump", "--sigma", "0"),
+    ])
+    def test_nonpositive_width_or_sigma_exit_2(self, shape, flag, value, capsys):
+        assert run("synthetic", "--shape", shape, "--years", "0:0", "--ages", "0:0",
+                   flag, value) == 2
+        assert capsys.readouterr().err == (
+            f"error: {flag[2:]} must be positive and finite, got {float(value)!r}\n")
+
 
 class TestCei:
     def test_ridge_series_csv(self, ridge_csv, capsys):
@@ -346,6 +356,19 @@ class TestPlot:
         path.write_text("birth_year,cei,point_count\n" + row + "\n")
         assert run("plot", str(path)) == 2
         assert capsys.readouterr().err.startswith("error: malformed series CSV")
+
+    @pytest.mark.parametrize("last_year", [1950, 1951, 1952])
+    def test_short_series_year_ticks_whole_and_distinct(self, last_year, tmp_path,
+                                                         capsys):
+        path = tmp_path / "short.csv"
+        path.write_text("birth_year,cei,point_count\n" + "".join(
+            f"{y},1.0,3\n" for y in range(1950, last_year + 1)))
+        assert run("plot", str(path), "--no-peaks") == 0
+        root = ET.fromstring(capsys.readouterr().out)
+        ns = "{http://www.w3.org/2000/svg}"
+        labels = [el.text for el in root.iter(f"{ns}text")
+                  if el.get("text-anchor") == "middle" and el.get("font-size") == "11"]
+        assert labels == [str(y) for y in range(1950, last_year + 1)]
 
     def test_no_peaks_flag(self, series_csv, tmp_path):
         out = tmp_path / "chart3.svg"

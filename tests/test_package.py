@@ -59,11 +59,12 @@ def test_oracle_imports_nothing_from_the_kernel():
 
 
 def test_package_import_leaves_the_oracle_unloaded():
-    probe = "import sys, cohortgeo; print('cohortgeo.smooth' in sys.modules)"
+    probe = ("import sys, cohortgeo; print('cohortgeo.smooth' in sys.modules); "
+             "import cohortgeo.cli; print('cohortgeo.smooth' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, env=package_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["False", "False"]
 
 
 def test_cli_import_loads_no_network_modules():

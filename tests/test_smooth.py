@@ -57,6 +57,13 @@ class TestSelfCheck:
         smooth.gaussian_bump(8.0)
         smooth.gompertz_surface()
 
+    @pytest.mark.parametrize("value", [0.0, -2.0, math.inf, math.nan])
+    def test_ridge_width_and_bump_sigma_positive_and_finite(self, value):
+        with pytest.raises(ValueError, match="width must be positive and finite"):
+            smooth.gaussian_ridge(width=value)
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            smooth.gaussian_bump(value, domain=((-5.0, 5.0), (-5.0, 5.0)))
+
 
 class TestNormalCurvature:
     def test_plane_zero_any_direction(self):
