@@ -41,11 +41,11 @@ class SurfaceSizeError(GeometryError):
 
 
 class DegenerateStencilError(GeometryError):
-    """Stencil with coincident consecutive points; no discrete parameter."""
+    """Stencil chord of zero or non-finite length; no discrete parameter."""
 
 
 class DegenerateTangentError(GeometryError):
-    """Least-squares tangent with near-zero magnitude; no unit direction."""
+    """Least-squares tangent length outside [1e-14, inf); no unit direction."""
 
 
 class AmbiguousNormalError(GeometryError):

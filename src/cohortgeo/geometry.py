@@ -37,8 +37,12 @@ Numerical scheme, in the order the quantities are built:
   nonzero component being positive).
 * normal curvature: ``NC_k = N . CV_k``.
 
-Border points, points whose 3x3 neighbourhood touches a missing cell, and
-points with degenerate stencils are flagged invalid and carry zero fields.
+A point is valid only if every chord length is positive with a finite sum,
+every tangent length lies in ``[1e-14, inf)`` and its normal is unambiguous.
+The four stencils cover the 3x3 neighbourhood, so a missing (NaN) cell
+rejects the point through a NaN chord and an overflowing value through an
+infinite length, without a numpy warning. Border and rejected points are
+flagged invalid and carry zero fields.
 All functions are pure. :func:`compute_geometry_field` is a vectorized map
 over independent grid points, run in blocks of interior rows that each read
 one halo row above and below and write straight into the full-grid result.
@@ -49,7 +53,6 @@ a single pass over the whole grid whatever the block height or scheduling.
 
 from __future__ import annotations
 
-import contextvars
 import json
 import math
 import os
@@ -61,6 +64,7 @@ from .errors import (
     AmbiguousNormalError,
     DegenerateStencilError,
     DegenerateTangentError,
+    StructuralError,
     SurfaceSizeError,
 )
 from .surface import MortalitySurface, SurfaceGrid
@@ -90,15 +94,17 @@ def discrete_parameter(q0, q1, q2) -> tuple[float, float, float]:
     """Chord-length parameters (0, s1, 1) of a three-point discrete curve.
 
     ``s1`` is the fraction of total chord length covered by the first leg.
-    Raises :class:`DegenerateStencilError` if consecutive points coincide.
+    Raises :class:`DegenerateStencilError` unless both chord lengths are
+    positive with a finite sum.
     """
     q0 = np.asarray(q0, dtype=float)
     q1 = np.asarray(q1, dtype=float)
     q2 = np.asarray(q2, dtype=float)
-    a = _norm3(q1 - q0)
-    b = _norm3(q2 - q1)
-    if a == 0.0 or b == 0.0:
-        raise DegenerateStencilError("coincident consecutive stencil points")
+    with np.errstate(all="ignore"):
+        a = _norm3(q1 - q0)
+        b = _norm3(q2 - q1)
+    if not (a > 0.0 and b > 0.0 and a + b < math.inf):
+        raise DegenerateStencilError("zero or non-finite stencil chord")
     return 0.0, a / (a + b), 1.0
 
 
@@ -116,15 +122,16 @@ def _ls_slope(v0, v1, v2, s0, s1, s2):
 def discrete_tangent(q0, q1, q2) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares tangent at the centre point: ``(T, V = T/|T|)``.
 
-    Raises :class:`DegenerateTangentError` when ``|T|`` falls below 1e-14
-    (the three points fold back onto the centre).
+    Raises :class:`DegenerateTangentError` unless ``|T|`` lies in
+    ``[1e-14, inf)``: the points fold back onto the centre, or ``|T|`` overflows.
     """
     q0, q1, q2 = (np.asarray(q, dtype=float) for q in (q0, q1, q2))
     s0, s1, s2 = discrete_parameter(q0, q1, q2)
-    T = _ls_slope(q0, q1, q2, s0, s1, s2)
-    nT = _norm3(T)
-    if nT < _TANGENT_EPS:
-        raise DegenerateTangentError("least-squares tangent has near-zero magnitude")
+    with np.errstate(all="ignore"):
+        T = _ls_slope(q0, q1, q2, s0, s1, s2)
+        nT = _norm3(T)
+    if not _TANGENT_EPS <= nT < math.inf:
+        raise DegenerateTangentError("tangent length outside [1e-14, inf)")
     return T, T / nT
 
 
@@ -212,15 +219,22 @@ class GeometryOptions:
 
 def prepare_grid(surface: MortalitySurface | SurfaceGrid,
                  options: GeometryOptions | None = None) -> SurfaceGrid:
-    """Apply value-axis options and return the raw grid the kernel runs on."""
+    """Apply value-axis options and return the raw grid the kernel runs on.
+
+    Raises :class:`StructuralError` if ``z_scale`` overflows a rate.
+    """
     grid = surface.to_grid()
     options = options or GeometryOptions()
     if options.z_scale == 1.0 and not options.log_rates:
         return grid
-    z = grid.z * options.z_scale
-    if options.log_rates:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            z = np.where(z > 0, np.log(np.where(z > 0, z, 1.0)), np.nan)
+    with np.errstate(all="ignore"):
+        z = grid.z * options.z_scale
+        if np.isinf(z).any():
+            raise StructuralError(
+                f"z_scale={options.z_scale!r} overflows the rates to infinity"
+            )
+        if options.log_rates:
+            z = np.where(z > 0, np.log(z), np.nan)
     return SurfaceGrid(t=grid.t, x=grid.x, z=z)
 
 
@@ -353,17 +367,12 @@ def compute_point_geometry(grid: SurfaceGrid, i: int, j: int):
     """Reference per-point path: scalar ops on the four stencil curves.
 
     Exists so the vectorized field assembly can be cross-checked against
-    the one-point definitions. Raises the scalar ops' errors for border
-    points, missing neighbours, and degenerate configurations.
+    the one-point definitions. Raises :class:`SurfaceSizeError` for border
+    points and the scalar ops' errors for points the validity rule rejects.
     """
     ny, nx = grid.shape
     if not (1 <= i < ny - 1 and 1 <= j < nx - 1):
         raise SurfaceSizeError(f"({i}, {j}) is not interior to the grid")
-    present = grid.present
-    if not present[i - 1:i + 2, j - 1:j + 2].all():
-        raise DegenerateStencilError(
-            f"missing cell in the 3x3 neighbourhood of ({i}, {j})"
-        )
 
     def point(ii: int, jj: int) -> np.ndarray:
         return np.array([grid.t[ii], grid.x[jj], grid.z[ii, jj]])
@@ -379,32 +388,25 @@ def compute_point_geometry(grid: SurfaceGrid, i: int, j: int):
     return tangents, cvs, normal, ncs
 
 
-def _kernel_rows(P: np.ndarray, present: np.ndarray, r0: int, r1: int,
+def _kernel_rows(P: np.ndarray, r0: int, r1: int,
                  out: tuple[np.ndarray, ...]) -> None:
     """Kernel over interior rows ``r0..r1-1``, reading one halo row each side.
 
-    ``P`` is the ``(ny, nx, 3)`` point grid and ``present`` its mask; ``out``
-    is ``(valid, tangents, curvature_vectors, normals, normal_curvatures)``,
-    full-grid and zero-filled. A call writes only its own rows, and only the
-    valid points there, so blocks may run concurrently. Same arithmetic as
-    :func:`compute_point_geometry` at each valid point.
+    ``P`` is the ``(ny, nx, 3)`` point grid; ``out`` is ``(valid, tangents,
+    curvature_vectors, normals, normal_curvatures)``, full-grid and
+    zero-filled. Applies the validity rule under one ``errstate`` that
+    silences every intermediate; a call writes only its own rows, and only
+    the valid points there, so blocks may run concurrently. Same arithmetic
+    as :func:`compute_point_geometry` at each valid point.
     """
     nx = P.shape[1]
     h = r1 - r0
     P = P[r0 - 1:r1 + 1]
-    present = present[r0 - 1:r1 + 1]
-
-    valid = np.ones((h, nx - 2), dtype=bool)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            valid &= present[1 + di:h + 1 + di, 1 + dj:nx - 1 + dj]
-
     center = P[1:-1, 1:-1]
-    V = np.zeros(center.shape[:2] + (4, 3))
-    CV = np.zeros_like(V)
-    # errstate is context-local: it must be entered in the thread running
-    # the block, not around the pool.
-    with np.errstate(invalid="ignore", divide="ignore"):
+    valid = np.ones((h, nx - 2), dtype=bool)
+    V = np.empty(center.shape[:2] + (4, 3))
+    CV = np.empty_like(V)
+    with np.errstate(all="ignore"):
         for k, ((di0, dj0), (di2, dj2)) in enumerate(_STENCIL_OFFSETS):
             q0 = P[1 + di0:h + 1 + di0, 1 + dj0:nx - 1 + dj0]
             q2 = P[1 + di2:h + 1 + di2, 1 + dj2:nx - 1 + dj2]
@@ -412,32 +414,32 @@ def _kernel_rows(P: np.ndarray, present: np.ndarray, r0: int, r1: int,
             c12 = q2 - center
             a = np.sqrt(c01[..., 0] ** 2 + c01[..., 1] ** 2 + c01[..., 2] ** 2)
             b = np.sqrt(c12[..., 0] ** 2 + c12[..., 1] ** 2 + c12[..., 2] ** 2)
-            ok = valid & (a > 0) & (b > 0)
-            s1 = (a / (a + b))[..., None]
+            ab = a + b
+            s1 = (a / ab)[..., None]
             T = _ls_slope(q0, center, q2, 0.0, s1, 1.0)
             nT = np.sqrt(T[..., 0] ** 2 + T[..., 1] ** 2 + T[..., 2] ** 2)
-            ok &= nT >= _TANGENT_EPS
+            valid &= ((a > 0) & (b > 0) & (ab < np.inf)
+                      & (nT >= _TANGENT_EPS) & (nT < np.inf))
+            # _ls_slope reads the contiguous vk: the strided V[..., k, :] is slower
             vk = T / nT[..., None]
             u0 = c01 / a[..., None]
             u2 = c12 / b[..., None]
             dV = _ls_slope(u0, vk, u2, 0.5 * (0.0 + s1), s1, 0.5 * (s1 + 1.0))
-            cvk = dV / nT[..., None]
-            V[..., k, :] = np.where(ok[..., None], vk, 0.0)
-            CV[..., k, :] = np.where(ok[..., None], cvk, 0.0)
-            valid &= ok
+            V[..., k, :] = vk
+            CV[..., k, :] = dV / nT[..., None]
 
-    M = np.einsum("yxki,yxkj->yxij", V, V)
-    # eigh needs clean input at masked points; the identity is harmless there.
-    M = np.where(valid[..., None, None], M, np.eye(3))
-    w, vecs = np.linalg.eigh(M)
-    valid &= (w[..., 1] - w[..., 0]) >= _EIGENGAP_TOL
-    n = vecs[..., :, 0]
-    flip = (n[..., 2] < 0) | (
-        (n[..., 2] == 0)
-        & ((n[..., 0] < 0) | ((n[..., 0] == 0) & (n[..., 1] < 0)))
-    )
-    n = np.where(flip[..., None], -n, n)
-    NC = np.einsum("yxi,yxki->yxk", n, CV)
+        M = np.einsum("yxki,yxkj->yxij", V, V)
+        # eigh needs clean input at rejected points; the identity is harmless there.
+        M = np.where(valid[..., None, None], M, np.eye(3))
+        w, vecs = np.linalg.eigh(M)
+        valid &= (w[..., 1] - w[..., 0]) >= _EIGENGAP_TOL
+        n = vecs[..., :, 0]
+        flip = (n[..., 2] < 0) | (
+            (n[..., 2] == 0)
+            & ((n[..., 0] < 0) | ((n[..., 0] == 0) & (n[..., 1] < 0)))
+        )
+        n = np.where(flip[..., None], -n, n)
+        NC = np.einsum("yxi,yxki->yxk", n, CV)
 
     full_valid, full_V, full_CV, full_n, full_NC = out
     rows = slice(r0, r1)
@@ -462,9 +464,9 @@ def compute_geometry_field(surface: MortalitySurface | SurfaceGrid,
     """Run the kernel over every interior grid point.
 
     Vectorized over points; identical arithmetic to
-    :func:`compute_point_geometry` at each valid point. Points are valid
-    only when all nine neighbourhood cells are present and every stencil is
-    non-degenerate with an unambiguous normal.
+    :func:`compute_point_geometry` at each valid point. Validity follows
+    the module's rule; no numpy warning is emitted, whatever the caller's
+    ``np.errstate``.
 
     Interior rows are processed in blocks of about ``_BLOCK_POINTS`` points,
     each reading one halo row above and below, so temporaries stay bounded.
@@ -482,7 +484,6 @@ def compute_geometry_field(surface: MortalitySurface | SurfaceGrid,
     P[..., 0] = grid.t[:, None]
     P[..., 1] = grid.x[None, :]
     P[..., 2] = grid.z
-    present = grid.present
 
     out = (
         np.zeros((ny, nx), dtype=bool),
@@ -496,18 +497,13 @@ def compute_geometry_field(surface: MortalitySurface | SurfaceGrid,
     workers = _worker_count(len(blocks))
     if workers <= 1:
         for r0, r1 in blocks:
-            _kernel_rows(P, present, r0, r1, out)
+            _kernel_rows(P, r0, r1, out)
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            # Each block runs in a copy of the caller's context, so an
-            # enclosing np.errstate applies in the workers too.
-            futures = [
-                pool.submit(contextvars.copy_context().run,
-                            _kernel_rows, P, present, r0, r1, out)
-                for r0, r1 in blocks
-            ]
+            futures = [pool.submit(_kernel_rows, P, r0, r1, out)
+                       for r0, r1 in blocks]
             for future in futures:
                 future.result()
 

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -33,6 +36,12 @@ from conftest import make_hmd_text, package_env
 
 def run(*argv) -> int:
     return main(list(argv))
+
+
+def run_child(*argv) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter, so stderr shows any warning."""
+    return subprocess.run([sys.executable, "-m", "cohortgeo.cli", *argv],
+                          capture_output=True, text=True, env=package_env())
 
 
 @pytest.fixture
@@ -174,6 +183,30 @@ class TestCei:
         path.write_text("0.1,0.2\n0.3,0.4\n")
         assert run("cei", str(path), "--input-format", "csv",
                    "--first-year", "2000", "--first-age", "0") == 3
+
+    def test_z_scale_overflow_exit_2_without_warning(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("1,2,3\n4,5,6\n7,8,9\n10,11,12\n")
+        proc = run_child("cei", str(path), "--input-format", "csv",
+                         "--first-year", "1900", "--first-age", "0",
+                         "--z-scale", "1e308")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: z_scale=1e+308 overflows the rates to infinity\n"
+
+    def test_overflowing_chords_rejected_silently(self, tmp_path):
+        # at z-scale 1e306 some squared chord lengths overflow; those points
+        # were already invalid, so the series bytes are as before
+        path = tmp_path / "g.csv"
+        assert run("synthetic", "--shape", "gompertz", "--years", "1900:1930",
+                   "--ages", "0:20", "-o", str(path)) == 0
+        proc = run_child("cei", str(path), "--input-format", "csv",
+                         "--first-year", "1900", "--first-age", "0",
+                         "--z-scale", "1e306")
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+            "12ca63e19ce82daa2615de9d99499eb5e91d3f5287803fee232fcd86a79f0d10")
 
     def test_nan_token_exit_2(self, tmp_path, capsys):
         path = tmp_path / "nan.csv"
@@ -497,18 +530,11 @@ def test_cli_bytes_equal_library_bytes(ridge_csv, capsys, command, fmt, flags,
 
 class TestConsoleScript:
     def test_entry_point_runs(self, tmp_path):
-        import subprocess
-        import sys
-
         surface_path = tmp_path / "p.csv"
         assert run("synthetic", "--shape", "plane", "--years", "2000:2010",
                    "--ages", "0:8", "-o", str(surface_path)) == 0
-        proc = subprocess.run(
-            [sys.executable, "-m", "cohortgeo.cli", "cei", str(surface_path),
-             "--input-format", "csv", "--first-year", "2000",
-             "--first-age", "0", "--no-trim"],
-            capture_output=True, text=True, env=package_env(),
-        )
+        proc = run_child("cei", str(surface_path), "--input-format", "csv",
+                         "--first-year", "2000", "--first-age", "0", "--no-trim")
         assert proc.returncode == 0
         assert proc.stdout.startswith("birth_year,cei,point_count")
 

@@ -27,7 +27,9 @@ from cohortgeo import (
     AmbiguousNormalError,
     DegenerateStencilError,
     DegenerateTangentError,
+    GeometryError,
     GeometryOptions,
+    StructuralError,
     SurfaceSizeError,
 )
 from cohortgeo.geometry import AGE, PERIOD
@@ -50,6 +52,18 @@ class TestDiscreteParameter:
             geometry.discrete_parameter((1, 2, 3), (1, 2, 3), (4, 5, 6))
         with pytest.raises(DegenerateStencilError):
             geometry.discrete_parameter((0, 0, 0), (1, 2, 3), (1, 2, 3))
+
+    @pytest.mark.parametrize("q0, q1, q2", [
+        ((0, 0, 0), (1, 0, np.nan), (2, 0, 0)),
+        ((0, 0, 0), (1, 0, 1e200), (2, 0, 0)),
+        ((0, 0, -1e200), (1, 0, 1e200), (2, 0, 1e200)),
+    ], ids=["missing", "overflowing-chord", "infinite-difference"])
+    def test_nonfinite_chords_rejected_silently(self, q0, q1, q2):
+        with warnings.catch_warnings(record=True) as caught, \
+                pytest.raises(DegenerateStencilError):
+            warnings.simplefilter("always")
+            geometry.discrete_parameter(q0, q1, q2)
+        assert not caught
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))
@@ -105,6 +119,15 @@ class TestDiscreteTangent:
     def test_backtracking_curve_degenerate(self):
         with pytest.raises(DegenerateTangentError):
             geometry.discrete_tangent((0, 0, 0), (1, 0, 0), (0, 0, 0))
+
+    def test_overflowing_length_rejected_silently(self):
+        # finite chords, but |T|^2 overflows: V = T/|T| would be zero
+        q = ((0, 0, -1.2e154), (1, 0, 0), (2, 0, 1.2e154))
+        with warnings.catch_warnings(record=True) as caught, \
+                pytest.raises(DegenerateTangentError):
+            warnings.simplefilter("always")
+            geometry.discrete_tangent(*q)
+        assert not caught
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))
@@ -255,6 +278,25 @@ class TestGeometryOptions:
         s = make_surface([[0.1, 0.2], [0.3, 0.4]])
         g = cg.prepare_grid(s, GeometryOptions(z_scale=100.0))
         assert g.z[1, 1] == 0.4 * 100.0
+
+    @pytest.mark.parametrize("log_rates", [False, True])
+    def test_prepare_grid_overflow_is_structural(self, log_rates):
+        s = make_surface(np.arange(1.0, 13.0).reshape(4, 3))
+        options = GeometryOptions(z_scale=1e308, log_rates=log_rates)
+        with warnings.catch_warnings(record=True) as caught, \
+                pytest.raises(StructuralError, match=r"^z_scale=1e\+308 overflows"):
+            warnings.simplefilter("always")
+            cg.prepare_grid(s, options)
+        assert not caught
+
+    def test_prepare_grid_log_is_silent_and_exact(self):
+        z = np.array([[0.0, -2.0, 0.3], [np.nan, 1e-300, 5.0], [1.0, 2.0, 3.0]])
+        grid = SurfaceGrid(t=np.arange(3), x=np.arange(3), z=z)
+        with np.errstate(all="raise"):
+            g = cg.prepare_grid(grid, GeometryOptions(z_scale=2.0, log_rates=True))
+        positive = z * 2.0 > 0
+        assert np.array_equal(g.present, positive)
+        assert np.array_equal(g.z[positive], np.log(z[positive] * 2.0))
 
 
 def field_on(rates, **kwargs):
@@ -456,28 +498,78 @@ class TestRowBlocks:
         for name in FIELD_ARRAYS:
             assert np.array_equal(getattr(blocked, name), getattr(whole, name)), name
 
-    def test_warnings_match_single_block(self, monkeypatch):
+
+HUGE_CELL_BLOCKS = (400 * 120 + 1, 32768, 5 * 120)  # whole grid, two blocks, five rows
+
+
+def huge_cell_fields(monkeypatch):
+    """``one_huge_cell(400, 120)`` fields at each of ``HUGE_CELL_BLOCKS``,
+    asserting that no run emits a warning."""
+    surface = one_huge_cell(400, 120)
+    fields = []
+    for points in HUGE_CELL_BLOCKS:
+        monkeypatch.setattr(geometry, "_BLOCK_POINTS", points)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fields.append(cg.compute_geometry_field(surface))
+        assert not caught
+    return fields
+
+
+def assert_fields_equal(a, b):
+    for name in FIELD_ARRAYS:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+class TestValidityRule:
+    """An overflowing chord rejects its points silently, at any block size."""
+
+    def test_no_warning_same_field_unit_tangents(self, monkeypatch):
+        whole, *blocked = huge_cell_fields(monkeypatch)
+        for field in blocked:
+            assert_fields_equal(field, whole)
+        # the border and the huge cell's 3x3 neighbourhood are rejected
+        expected = np.zeros((400, 120), dtype=bool)
+        expected[1:-1, 1:-1] = True
+        expected[199:202, 59:62] = False
+        assert np.array_equal(whole.valid, expected)
+        norms = np.linalg.norm(whole.tangents[whole.valid], axis=-1)
+        assert norms.shape[1] == 4
+        assert np.abs(norms - 1.0).max() < 1e-12
+
+    def test_caller_errstate_has_no_effect(self, monkeypatch):
+        default = huge_cell_fields(monkeypatch)
+        with np.errstate(all="raise"):
+            raising = huge_cell_fields(monkeypatch)
+        for a, b in zip(default, raising):
+            assert_fields_equal(a, b)
+
+    def test_valid_points_match_scalar_path_rejected_ones_raise(self):
         surface = one_huge_cell(400, 120)
-
-        def messages(points):
-            monkeypatch.setattr(geometry, "_BLOCK_POINTS", points)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                cg.compute_geometry_field(surface)
-            return {str(w.message) for w in caught
-                    if issubclass(w.category, RuntimeWarning)}
-
-        single = messages(400 * 120)
-        assert single
-        assert messages(32768) == single  # two blocks of 273 rows
-        assert messages(5 * 120) == single
-
-    def test_caller_errstate_reaches_blocks(self, monkeypatch):
-        surface = one_huge_cell(40, 12)
-        for points in (40 * 12, 3 * 12):
-            monkeypatch.setattr(geometry, "_BLOCK_POINTS", points)
-            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-                cg.compute_geometry_field(surface)
+        field = cg.compute_geometry_field(surface)
+        grid = cg.prepare_grid(surface)
+        # rates do not depend on the year, so every row away from the huge
+        # cell repeats row 190's field bit for bit
+        for name in FIELD_ARRAYS:
+            a = getattr(field, name)
+            for rows in (slice(1, 190), slice(211, 399)):
+                assert (a[rows] == a[190]).all(), name
+        checked = rejected = 0
+        for i in range(190, 211):
+            for j in range(1, 119):
+                try:
+                    tangents, cvs, normal, ncs = cg.compute_point_geometry(grid, i, j)
+                except GeometryError:
+                    assert not field.valid[i, j], (i, j)
+                    rejected += 1
+                    continue
+                assert field.valid[i, j], (i, j)
+                assert np.abs(tangents - field.tangents[i, j]).max() < 1e-13
+                assert np.abs(cvs - field.curvature_vectors[i, j]).max() < 1e-13
+                assert np.abs(normal - field.normals[i, j]).max() < 1e-13
+                assert np.abs(ncs - field.normal_curvatures[i, j]).max() < 1e-13
+                checked += 1
+        assert rejected == 9 and checked == 21 * 118 - 9
 
 
 class TestFieldExport:
@@ -497,3 +589,53 @@ class TestFieldExport:
                     "normals", "normal_curvatures"):
             assert key in obj
         assert obj["directions"] == ["cohort", "cross", "period", "age"]
+
+
+@st.composite
+def rate_grids(draw, max_exponent=300):
+    """3..30 x 3..30 grids on integer axes with optional holes; cell
+    magnitudes spread over a random decade range within 1e-300..1e300."""
+    ny, nx = draw(st.integers(3, 30)), draw(st.integers(3, 30))
+    lo = draw(st.integers(-300, max_exponent))
+    hi = min(lo + draw(st.integers(0, 600)), max_exponent)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = 10.0 ** rng.uniform(lo, hi, (ny, nx))
+    if draw(st.booleans()):
+        z = z * rng.choice([-1.0, 1.0], (ny, nx))
+    z[rng.random((ny, nx)) < draw(st.sampled_from([0.0, 0.02, 0.2]))] = np.nan
+    t0, x0 = draw(st.integers(-3000, 3000)), draw(st.integers(-200, 200))
+    return SurfaceGrid(t=np.arange(t0, t0 + ny), x=np.arange(x0, x0 + nx), z=z)
+
+
+class TestKernelProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(grid=rate_grids())
+    def test_silent_unit_finite_and_zero_where_rejected(self, grid):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            field = cg.compute_geometry_field(grid)
+        assert not caught
+        valid = field.valid
+        assert not valid[[0, -1]].any() and not valid[:, [0, -1]].any()
+        V = np.linalg.norm(field.tangents[valid], axis=-1)
+        N = np.linalg.norm(field.normals[valid], axis=-1)
+        assert np.abs(V - 1.0).max(initial=0.0) < 1e-12
+        assert np.abs(N - 1.0).max(initial=0.0) < 1e-12
+        assert np.isfinite(field.normal_curvatures[valid]).all()
+        for name in FIELD_ARRAYS[1:]:
+            assert not getattr(field, name)[~valid].any(), name
+
+    @settings(max_examples=100, deadline=None)
+    @given(grid=rate_grids(), shift=st.integers(-10**6, 10**6))
+    def test_integer_axis_shift_is_exact(self, grid, shift):
+        field = cg.compute_geometry_field(grid)
+        for t, x in ((grid.t + shift, grid.x), (grid.t, grid.x + shift)):
+            assert_fields_equal(
+                cg.compute_geometry_field(SurfaceGrid(t=t, x=x, z=grid.z)), field)
+
+    @settings(max_examples=100, deadline=None)
+    @given(grid=rate_grids(max_exponent=295), k=st.integers(-16, 16))
+    def test_power_of_two_z_scale_is_prescaling(self, grid, k):
+        scaled = cg.compute_geometry_field(grid, GeometryOptions(z_scale=2.0**k))
+        prescaled = SurfaceGrid(t=grid.t, x=grid.x, z=grid.z * 2.0**k)
+        assert_fields_equal(scaled, cg.compute_geometry_field(prescaled))
