@@ -44,11 +44,14 @@ rejects the point through a NaN chord and an overflowing value through an
 infinite length, without a numpy warning. Border and rejected points are
 flagged invalid and carry zero fields.
 All functions are pure. :func:`compute_geometry_field` is a vectorized map
-over independent grid points, run in blocks of interior rows that each read
-one halo row above and below and write straight into the full-grid result.
-Blocks run on a thread pool only when the grid spans more than one of them;
-since every point sees the same arithmetic, the result is bit-identical to
-a single pass over the whole grid whatever the block height or scheduling.
+over independent grid points, run in cache-sized blocks of interior rows.
+Each block builds its points from the grid's rows plus one halo row above
+and below and writes straight into its rows of the result, so besides the
+result no scratch array grows with the grid. Blocks run on a thread pool
+only when the grid has more than ``_SERIAL_POINTS`` points (no HMD table
+does); since every point sees the same arithmetic, the result is
+bit-identical to a single pass over the whole grid whatever the block
+height or scheduling.
 """
 
 from __future__ import annotations
@@ -82,8 +85,12 @@ _STENCIL_OFFSETS = (
 
 _TANGENT_EPS = 1e-14
 _EIGENGAP_TOL = 1e-9
-# Points per kernel row block; bounds temporaries and sets the thread split.
-_BLOCK_POINTS = 32768
+# Points per kernel row block: small enough that a block's temporaries stay
+# in cache, and it sets the thread split.
+_BLOCK_POINTS = 8192
+# Grids of at most this many points (every HMD table) run on the calling
+# thread: a pool thread's own malloc arena costs more memory than it saves time.
+_SERIAL_POINTS = 32768
 
 
 def _norm3(v: np.ndarray) -> float:
@@ -221,7 +228,8 @@ def prepare_grid(surface: MortalitySurface | SurfaceGrid,
                  options: GeometryOptions | None = None) -> SurfaceGrid:
     """Apply value-axis options and return the raw grid the kernel runs on.
 
-    Raises :class:`StructuralError` if ``z_scale`` overflows a rate.
+    Raises :class:`StructuralError` if ``z_scale`` overflows a rate, or
+    underflows a nonzero rate to zero or to a subnormal value.
     """
     grid = surface.to_grid()
     options = options or GeometryOptions()
@@ -233,6 +241,9 @@ def prepare_grid(surface: MortalitySurface | SurfaceGrid,
             raise StructuralError(
                 f"z_scale={options.z_scale!r} overflows the rates to infinity"
             )
+        if options.z_scale < 1.0 and (
+                (np.abs(z) < np.finfo(float).tiny) & (grid.z != 0)).any():
+            raise StructuralError(f"z_scale={options.z_scale!r} underflows the rates")
         if options.log_rates:
             z = np.where(z > 0, np.log(z), np.nan)
     return SurfaceGrid(t=grid.t, x=grid.x, z=z)
@@ -388,24 +399,28 @@ def compute_point_geometry(grid: SurfaceGrid, i: int, j: int):
     return tangents, cvs, normal, ncs
 
 
-def _kernel_rows(P: np.ndarray, r0: int, r1: int,
+def _kernel_rows(grid: SurfaceGrid, r0: int, r1: int,
                  out: tuple[np.ndarray, ...]) -> None:
     """Kernel over interior rows ``r0..r1-1``, reading one halo row each side.
 
-    ``P`` is the ``(ny, nx, 3)`` point grid; ``out`` is ``(valid, tangents,
-    curvature_vectors, normals, normal_curvatures)``, full-grid and
-    zero-filled. Applies the validity rule under one ``errstate`` that
-    silences every intermediate; a call writes only its own rows, and only
-    the valid points there, so blocks may run concurrently. Same arithmetic
-    as :func:`compute_point_geometry` at each valid point.
+    Builds the block's ``(h+2, nx, 3)`` point slab from ``grid``'s rows.
+    ``out`` is ``(valid, tangents, curvature_vectors, normals,
+    normal_curvatures)``, full-grid with zero border rows and columns.
+    Applies the validity rule under one ``errstate`` that silences every
+    intermediate, writes straight into its own rows of ``out`` and then
+    zeroes the rejected points there, so blocks may run concurrently. Same
+    arithmetic as :func:`compute_point_geometry` at each valid point.
     """
-    nx = P.shape[1]
+    nx = grid.x.size
     h = r1 - r0
-    P = P[r0 - 1:r1 + 1]
+    P = np.empty((h + 2, nx, 3))
+    P[..., 0] = grid.t[r0 - 1:r1 + 1, None]
+    P[..., 1] = grid.x
+    P[..., 2] = grid.z[r0 - 1:r1 + 1]
     center = P[1:-1, 1:-1]
     valid = np.ones((h, nx - 2), dtype=bool)
-    V = np.empty(center.shape[:2] + (4, 3))
-    CV = np.empty_like(V)
+    rows = (slice(r0, r1), slice(1, -1))
+    valid_out, V, CV, n_out, NC_out = (a[rows] for a in out)
     with np.errstate(all="ignore"):
         for k, ((di0, dj0), (di2, dj2)) in enumerate(_STENCIL_OFFSETS):
             q0 = P[1 + di0:h + 1 + di0, 1 + dj0:nx - 1 + dj0]
@@ -438,17 +453,16 @@ def _kernel_rows(P: np.ndarray, r0: int, r1: int,
             (n[..., 2] == 0)
             & ((n[..., 0] < 0) | ((n[..., 0] == 0) & (n[..., 1] < 0)))
         )
+        # einsum's last bits depend on layout: n must be contiguous here
         n = np.where(flip[..., None], -n, n)
         NC = np.einsum("yxi,yxki->yxk", n, CV)
 
-    full_valid, full_V, full_CV, full_n, full_NC = out
-    rows = slice(r0, r1)
-    full_valid[rows, 1:-1] = valid
-    keep = valid[..., None]
-    np.copyto(full_n[rows, 1:-1], n, where=keep)
-    np.copyto(full_NC[rows, 1:-1], NC, where=keep)
-    np.copyto(full_V[rows, 1:-1], V, where=keep[..., None])
-    np.copyto(full_CV[rows, 1:-1], CV, where=keep[..., None])
+    valid_out[...] = valid
+    n_out[...] = n
+    NC_out[...] = NC
+    rejected = ~valid
+    for a in (V, CV, n_out, NC_out):
+        a[rejected] = 0.0
 
 
 def _worker_count(n_blocks: int) -> int:
@@ -469,21 +483,18 @@ def compute_geometry_field(surface: MortalitySurface | SurfaceGrid,
     ``np.errstate``.
 
     Interior rows are processed in blocks of about ``_BLOCK_POINTS`` points,
-    each reading one halo row above and below, so temporaries stay bounded.
-    A grid that fits one block runs on the calling thread; larger grids run
-    their blocks on a thread pool with one worker per available core. The
-    map is pointwise, so the result is bit-identical to a single pass.
+    each built from the grid's rows plus one halo row above and below and
+    written straight into the field, so temporaries stay block-sized. A grid
+    of at most ``_SERIAL_POINTS`` points runs on the calling thread; larger
+    grids run their blocks on a thread pool with one worker per available
+    core. The map is pointwise, so the result is bit-identical to a single
+    pass.
     """
     options = options or GeometryOptions()
     grid = prepare_grid(surface, options)
     ny, nx = grid.shape
     if ny < 3 or nx < 3:
         raise SurfaceSizeError(f"grid {ny}x{nx} is smaller than 3x3")
-
-    P = np.empty((ny, nx, 3))
-    P[..., 0] = grid.t[:, None]
-    P[..., 1] = grid.x[None, :]
-    P[..., 2] = grid.z
 
     out = (
         np.zeros((ny, nx), dtype=bool),
@@ -494,15 +505,15 @@ def compute_geometry_field(surface: MortalitySurface | SurfaceGrid,
     )
     step = max(1, _BLOCK_POINTS // nx)
     blocks = [(r0, min(r0 + step, ny - 1)) for r0 in range(1, ny - 1, step)]
-    workers = _worker_count(len(blocks))
+    workers = 1 if ny * nx <= _SERIAL_POINTS else _worker_count(len(blocks))
     if workers <= 1:
         for r0, r1 in blocks:
-            _kernel_rows(P, r0, r1, out)
+            _kernel_rows(grid, r0, r1, out)
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_kernel_rows, P, r0, r1, out)
+            futures = [pool.submit(_kernel_rows, grid, r0, r1, out)
                        for r0, r1 in blocks]
             for future in futures:
                 future.result()

@@ -208,6 +208,24 @@ class TestCei:
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
             "12ca63e19ce82daa2615de9d99499eb5e91d3f5287803fee232fcd86a79f0d10")
 
+    @pytest.mark.parametrize("command, extra", [
+        ("cei", ("--z-scale", "1e-320", "--no-trim")),
+        ("aice", ("--z-scale", "1e-320", "--window", "1890:1920")),
+        ("cei", ("--z-scale", "1e-306")),
+    ])
+    def test_z_scale_underflow_exit_2(self, tmp_path, capsys, command, extra):
+        # 1e-320 used to zero every rate (a flat, all-zero series, or aice's
+        # "windowed mean is not positive"), 1e-306 made them subnormal
+        path = tmp_path / "g.csv"
+        assert run("synthetic", "--shape", "gompertz", "--years", "1900:1930",
+                   "--ages", "0:20", "-o", str(path)) == 0
+        capsys.readouterr()
+        assert run(command, str(path), "--input-format", "csv",
+                   "--first-year", "1900", "--first-age", "0", *extra) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: z_scale={float(extra[1])!r} underflows the rates\n"
+
     def test_nan_token_exit_2(self, tmp_path, capsys):
         path = tmp_path / "nan.csv"
         path.write_text("0.1,0.2,0.3\n0.3,nan,0.5\n0.5,0.6,0.7\n")

@@ -9,8 +9,12 @@ field assembly is checked point-by-point against the scalar path.
 
 from __future__ import annotations
 
+import concurrent.futures
+import hashlib
 import math
 import sys
+import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -289,6 +293,26 @@ class TestGeometryOptions:
             cg.prepare_grid(s, options)
         assert not caught
 
+    @pytest.mark.parametrize("z_scale", [1e-320, 1e-306, 2.0**-1013])
+    @pytest.mark.parametrize("log_rates", [False, True])
+    def test_prepare_grid_underflow_is_structural(self, z_scale, log_rates):
+        # 0.001 * 2**-1013 is just below the smallest normal float, 2**-1022
+        s = make_surface([[0.001, 0.2, 0.5], [0.3, 0.4, 0.6], [0.7, 0.8, 0.9]])
+        with warnings.catch_warnings(record=True) as caught, \
+                pytest.raises(StructuralError,
+                              match=rf"^z_scale={z_scale!r} underflows the rates$"):
+            warnings.simplefilter("always")
+            cg.prepare_grid(s, GeometryOptions(z_scale=z_scale, log_rates=log_rates))
+        assert not caught
+
+    def test_prepare_grid_zero_and_negative_rates_pass(self):
+        z = np.array([[0.0, -0.2, 0.3], [np.nan, -0.0, 0.5], [1.0, -2.0, 3.0]])
+        grid = SurfaceGrid(t=np.arange(3), x=np.arange(3), z=z)
+        # the smallest nonzero magnitude becomes 0.2 * 1e-306, still normal
+        g = cg.prepare_grid(grid, GeometryOptions(z_scale=1e-306))
+        assert np.array_equal(g.z, z * 1e-306, equal_nan=True)
+        assert np.nanmin(np.abs(g.z[g.z != 0])) >= np.finfo(float).tiny
+
     def test_prepare_grid_log_is_silent_and_exact(self):
         z = np.array([[0.0, -2.0, 0.3], [np.nan, 1e-300, 5.0], [1.0, 2.0, 3.0]])
         grid = SurfaceGrid(t=np.arange(3), x=np.arange(3), z=z)
@@ -460,6 +484,115 @@ def one_huge_cell(ny: int, nx: int):
     return make_surface(rates)
 
 
+def hmd_like(ny: int, nx: int, seed: int, holes: int = 0):
+    """Gompertz-like rates with 1% noise, a planted cohort ridge and
+    ``holes`` missing cells."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(ny)[:, None]
+    x = np.arange(nx)[None, :]
+    rates = 0.001 * np.exp(0.08 * x) * (1.0 + 0.01 * rng.standard_normal((ny, nx)))
+    rates = rates * (1.0 + 0.3 * np.exp(-(((t - x) - ny // 3) / 1.5) ** 2))
+    rates[rng.integers(0, ny, holes), rng.integers(0, nx, holes)] = np.nan
+    return rates
+
+
+GOLDEN_CASES = {
+    "holes_300x200": lambda: (make_surface(hmd_like(300, 200, 1, holes=120)), None),
+    "huge_cell_400x120": lambda: (one_huge_cell(400, 120), None),
+    "holes_log_rates": lambda: (make_surface(hmd_like(300, 200, 1, holes=120)),
+                                GeometryOptions(log_rates=True)),
+    "ridge_z_scale_37": lambda: (make_surface(hmd_like(270, 111, 2)),
+                                 GeometryOptions(z_scale=37.0)),
+    "three_rows": lambda: (make_surface(hmd_like(3, 150, 3, holes=2)), None),
+    "hmd_270x111": lambda: (make_surface(hmd_like(270, 111, 4, holes=30)), None),
+}
+
+# sha256 of each field array's bytes: block size, block layout and threading
+# must not move a single bit.
+GOLDEN_DIGESTS = {
+    'hmd_270x111': (
+        '7c14d9750019a8405a8501768103e56939f5e6389d71e162dab2f052405672f9',
+        '38e62120e93dff755cc2e6881eeb8d2a0d41ea2b5062f20c3993b123068d4198',
+        '1881b2717b13c2af5a08b34833ecf1b212a0d1bbeb00f870da05f59167ff806a',
+        'a0bc03d4ed4e1a7efb47e976f1f6c63f43fe26a3264518d0ad367e44da924f37',
+        '1ca6dc8ceb7d72cfd93cf0c168d3040e3020e4c224de38bcc301f77cdb814736',
+    ),
+    'holes_300x200': (
+        'f434651a641b0222c5f21960e923b55c5fb68dd14113f295aaffa9985878ca27',
+        'd684eb845501fa13820f3c97c4e878c9a9e8472bb9a69e1f7e3e099c67ff27e7',
+        '3998e0736c664d5d4adfd9b07e3915c5db0d0b30880488fe0fe4db8e0d584e4e',
+        'bf21a4bb3d5f71bfc00cc1d053e4995edadbd9149e1b8e4725507f44f7d9285b',
+        '3323a9d1854131054e21cdfcd4757b113ef12d51284d65df67a0ddb80c0526a0',
+    ),
+    'holes_log_rates': (
+        'f434651a641b0222c5f21960e923b55c5fb68dd14113f295aaffa9985878ca27',
+        '6c0aca938166642619ea1dd6b1544af2c7f4528207308ff3e6d6804f97754830',
+        '9aefa390da64c9617d91c6339b7f493704292dc94a8bb8376f03ec43af7a3d70',
+        '285ce6aa02a8a6427ce261105edc0e2f441b78f9562630d7d1509dbbdc58b534',
+        '109386915612e6f9b74607658f9f07386d85cb0ad0d3bb1fc341f8764972e4fd',
+    ),
+    'huge_cell_400x120': (
+        'cc9bfd255eebdf694d21c457be65f0a7ce32c7643b77810978d16e85d3e55867',
+        '09e7bccac9bfc65956c4cd455013cf42221ddf2027233e1bcf66407c08723c73',
+        'bf8bad530a73c03880d241c30556c1685756c360b229625147d1a21a0fcb105b',
+        '7baf4acf422151a845ffbec917fde5557f72cde13520f874b0d9731202f0ed94',
+        'e43a981d3cd4c8c09561ca2e96a1ed4e7be5530e55b7b8c261501bbb7719105e',
+    ),
+    'ridge_z_scale_37': (
+        '5c1cf42cd36d8c2ef90abebd2fb78d5ba66f2d41eeaff9ef65f4b58045f2471c',
+        'd723cb64a5b85b94c0a3b04a489fb20723c178a16f7bb81011e655c1d5185aef',
+        '863b6914afe65f85ed38c415755ca46c24fce5de26be2bd8071697b810539c09',
+        '5d51d99aefe680682016b04906c906302beab51b5cc630101a52a6ffccaf0088',
+        '227ce07dd7ae34a7595005412f58292b32f555519264d36deb8e58119f3feefe',
+    ),
+    'three_rows': (
+        '893ae7991c35f47f343be7fd03a1528b5a6f2dcea0f93a0610f6899bb7be39ee',
+        '1035f9e1b4e4a01147b2e0e6b7b58ba3d7246838d54276a0ef8a15ece9ad323f',
+        'bc3370afd06f5e01ebb697212c9e9b5e9abe07c8f1f1bbd32b02d0d326e4af6f',
+        '07dab7c3d7ae9408d4e2bd3b40e92cf11497a84ff4f8a3ac517db28db0422b1d',
+        '9be51c8f836319cfa416d1a12bbb8d7314034e65bd3ea11a07c49feaa28ce136',
+    ),
+}
+
+
+def field_digests(field) -> tuple[str, ...]:
+    return tuple(hashlib.sha256(np.ascontiguousarray(getattr(field, name)).tobytes())
+                 .hexdigest() for name in FIELD_ARRAYS)
+
+
+class TestGoldenFields:
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+    def test_field_bytes(self, monkeypatch, case):
+        surface, options = GOLDEN_CASES[case]()
+        nx = surface.rates.shape[1]
+        assert cg.compute_geometry_field(surface, options).valid.any()
+        for points in (geometry._BLOCK_POINTS, nx, 7 * nx + 3):
+            monkeypatch.setattr(geometry, "_BLOCK_POINTS", points)
+            field = cg.compute_geometry_field(surface, options)
+            assert field_digests(field) == GOLDEN_DIGESTS[case], points
+
+
+def record_threads(monkeypatch):
+    """Record each thread pool's ``max_workers`` and the threads that run
+    kernel blocks."""
+    pools, threads = [], set()
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    kernel_rows = geometry._kernel_rows
+
+    def recording_rows(*args):
+        threads.add(threading.get_ident())
+        kernel_rows(*args)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(geometry, "_kernel_rows", recording_rows)
+    return pools, threads
+
+
 class TestRowBlocks:
     @pytest.mark.parametrize("kind, options", [
         ("holes", None),
@@ -488,15 +621,60 @@ class TestRowBlocks:
         monkeypatch.setattr(geometry, "_BLOCK_POINTS", ny * nx + 1)
         whole = cg.compute_geometry_field(surface)
         monkeypatch.setattr(geometry, "_BLOCK_POINTS", nx)
+        # the grid is small enough for the calling thread; force the pool
+        monkeypatch.setattr(geometry, "_SERIAL_POINTS", 0)
         monkeypatch.setattr(geometry, "_worker_count", lambda n_blocks: 8)
+        pools, threads = record_threads(monkeypatch)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             blocked = cg.compute_geometry_field(surface)
         finally:
             sys.setswitchinterval(interval)
+        assert pools == [8]
+        assert threading.get_ident() not in threads
         for name in FIELD_ARRAYS:
             assert np.array_equal(getattr(blocked, name), getattr(whole, name)), name
+
+    def test_hmd_size_grid_starts_no_pool(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(geometry, "_worker_count", lambda n_blocks: 8)
+        surface = make_surface(hmd_like(270, 111, 4, holes=30))
+        assert 270 * 111 > 3 * geometry._BLOCK_POINTS
+        field = cg.compute_geometry_field(surface)
+        assert field_digests(field) == GOLDEN_DIGESTS["hmd_270x111"]
+
+    @pytest.mark.parametrize("ny, pools", [(256, []), (257, [2])])
+    def test_pool_only_above_serial_points(self, monkeypatch, ny, pools):
+        # 256 x 128 is exactly geometry._SERIAL_POINTS
+        surface = make_surface(hmd_like(ny, 128, 6, holes=20))
+        monkeypatch.setattr(geometry, "_worker_count", lambda n_blocks: 1)
+        serial = cg.compute_geometry_field(surface)
+        monkeypatch.setattr(geometry, "_worker_count", lambda n_blocks: 2)
+        started, threads = record_threads(monkeypatch)
+        assert_fields_equal(cg.compute_geometry_field(surface), serial)
+        assert started == pools
+        assert (threading.get_ident() in threads) == (not pools)
+
+
+def test_kernel_scratch_memory_stays_bounded(monkeypatch):
+    # numpy buffers are traced; besides the field, the kernel may hold only
+    # block-sized scratch (at most a few MB per worker), never whole-grid
+    # copies. Two workers, as on a 2-core machine.
+    monkeypatch.setattr(geometry, "_worker_count", lambda n_blocks: 2)
+    surface = make_surface(hmd_like(600, 500, 5, holes=200))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        field = cg.compute_geometry_field(surface)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    field_bytes = sum(getattr(field, name).nbytes for name in FIELD_ARRAYS)
+    assert peak - field_bytes < 16e6
 
 
 HUGE_CELL_BLOCKS = (400 * 120 + 1, 32768, 5 * 120)  # whole grid, two blocks, five rows
