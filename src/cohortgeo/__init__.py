@@ -13,6 +13,27 @@ re-exported here.
 
 from __future__ import annotations
 
+import os
+import sys
+
+# numpy's bundled OpenBLAS starts a worker thread per extra core at import,
+# and an idle worker busy-waits. This package never gives BLAS enough work
+# to split (batched 3x3 eigh, degree-1 polyfit); its own parallelism is the
+# kernel's block pool. So when it is the first to load numpy and no thread
+# count is set, numpy loads with OpenBLAS on the calling thread only. The
+# variable is set only around the import: os.environ and child processes
+# keep the caller's environment.
+if "numpy" not in sys.modules and not any(
+        v in os.environ
+        for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+    del numpy
+del os, sys
+
 from .analytics import (
     CEISeries,
     CohortReport,

@@ -62,6 +62,13 @@ def _as_contiguous_int_axis(values: Iterable[int], what: str) -> np.ndarray:
     return arr
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """A view of ``arr`` that refuses writes; ``arr`` keeps its own flag."""
+    view = arr.view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(frozen=True, eq=False)
 class SurfaceGrid:
     """Plain geometric grid: real coordinate axes plus a value matrix.
@@ -115,8 +122,11 @@ class MortalitySurface:
 
     ``rates`` is a ``(len(years), len(ages))`` float matrix with NaN at
     missing cells. The open age group ("110+" in HMD files) is stored as a
-    regular age-110 column. Construction validates all invariants; parsed
-    surfaces are immutable afterwards and safe to share across threads.
+    regular age-110 column. Construction validates all invariants and
+    stores read-only views of the axes and rates, so a write through the
+    surface raises ``ValueError`` and :meth:`to_grid` shares the rates
+    instead of copying them. The views are not copies: a caller who keeps
+    a writeable reference to the ``rates`` passed in must not change it.
     """
 
     years: np.ndarray
@@ -145,9 +155,9 @@ class MortalitySurface:
             )
         if not isinstance(self.sex, Sex):
             object.__setattr__(self, "sex", Sex(self.sex))
-        object.__setattr__(self, "years", years)
-        object.__setattr__(self, "ages", ages)
-        object.__setattr__(self, "rates", rates)
+        object.__setattr__(self, "years", _read_only(years))
+        object.__setattr__(self, "ages", _read_only(ages))
+        object.__setattr__(self, "rates", _read_only(rates))
 
     # NumPy fields break the generated __eq__; compare content explicitly.
     def __eq__(self, other: object) -> bool:
@@ -187,7 +197,7 @@ class MortalitySurface:
         return SurfaceGrid(
             t=self.years.astype(float),
             x=self.ages.astype(float),
-            z=self.rates.copy(),
+            z=self.rates,
         )
 
 

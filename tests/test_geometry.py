@@ -677,6 +677,20 @@ def test_kernel_scratch_memory_stays_bounded(monkeypatch):
     assert peak - field_bytes < 16e6
 
 
+def test_prepare_grid_shares_the_surface_rates():
+    # 600x500 rates are 2.4 MB; only the axes and the isinf mask may be new.
+    surface = make_surface(hmd_like(600, 500, 5, holes=200))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        grid = cg.prepare_grid(surface)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(grid.z, surface.rates)
+    assert peak < 2e6
+
+
 HUGE_CELL_BLOCKS = (400 * 120 + 1, 32768, 5 * 120)  # whole grid, two blocks, five rows
 
 
@@ -817,3 +831,40 @@ class TestKernelProperties:
         scaled = cg.compute_geometry_field(grid, GeometryOptions(z_scale=2.0**k))
         prescaled = SurfaceGrid(t=grid.t, x=grid.x, z=grid.z * 2.0**k)
         assert_fields_equal(scaled, cg.compute_geometry_field(prescaled))
+
+    # The two properties below are not bit-exact, so they compare at points
+    # valid in both fields. Rates of magnitude at most 1 keep every slope at
+    # most 2 per step, where the normal is well conditioned: the rounding
+    # error stays within a few hundred ulps of the largest |z| involved.
+    @settings(max_examples=100, deadline=None)
+    @given(grid=rate_grids(max_exponent=0),
+           c=st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+    def test_z_shift_keeps_normals_and_curvatures(self, grid, c):
+        a = cg.compute_geometry_field(grid)
+        b = cg.compute_geometry_field(SurfaceGrid(t=grid.t, x=grid.x, z=grid.z + c))
+        assert_close_where_both_valid(a, b.valid, b.normals, b.normal_curvatures,
+                                      scale=max_abs(grid.z) + abs(c))
+
+    @settings(max_examples=100, deadline=None)
+    @given(grid=rate_grids(max_exponent=0))
+    def test_transpose_swaps_period_and_age(self, grid):
+        # Swapping t and x keeps the cohort diagonal, runs the cross stencil
+        # reversed (its curvature vector is even under reversal) and swaps
+        # the period and age directions and the normal's t and x components.
+        b = cg.compute_geometry_field(SurfaceGrid(t=grid.x, x=grid.t, z=grid.z.T))
+        assert_close_where_both_valid(
+            cg.compute_geometry_field(grid), b.valid.T,
+            b.normals.transpose(1, 0, 2)[..., [1, 0, 2]],
+            b.normal_curvatures.transpose(1, 0, 2)[..., [COHORT, CROSS, AGE, PERIOD]],
+            scale=max_abs(grid.z))
+
+
+def max_abs(z: np.ndarray) -> float:
+    return float(np.abs(z[~np.isnan(z)]).max(initial=0.0))
+
+
+def assert_close_where_both_valid(field, valid, normals, curvatures, scale):
+    both = field.valid & valid
+    tol = 1e-12 * (1.0 + scale)
+    assert np.abs(field.normals[both] - normals[both]).max(initial=0.0) <= tol
+    assert np.abs(field.normal_curvatures[both] - curvatures[both]).max(initial=0.0) <= tol

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import ast
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import cohortgeo
 from conftest import package_env
@@ -74,3 +77,42 @@ def test_cli_import_loads_no_network_modules():
                           text=True, env=package_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def threads_after(probe: str, **blas_env: str) -> tuple[int, bool]:
+    """Run ``probe`` in a fresh interpreter whose environment sets only the
+    given BLAS thread variables; return the process's thread count after it
+    and whether ``os.environ`` is unchanged by it."""
+    env = {k: v for k, v in package_env(**blas_env).items()
+           if k not in BLAS_THREAD_VARS or k in blas_env}
+    code = ("import os; before = dict(os.environ); " + probe
+            + "; print(len(os.listdir('/proc/self/task')), before == dict(os.environ))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    count, unchanged = proc.stdout.split()
+    return int(count), unchanged == "True"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="threads are counted in /proc/self/task")
+class TestBlasThreads:
+    """Loading numpy through the package starts no idle OpenBLAS worker,
+    unless the user set a thread count or loaded numpy first."""
+
+    @pytest.mark.parametrize("probe", ["import cohortgeo",
+                                       "from cohortgeo.cli import main"])
+    def test_package_loads_numpy_on_one_thread(self, probe):
+        assert threads_after(probe) == (1, True)
+
+    @pytest.mark.parametrize("var", BLAS_THREAD_VARS)
+    def test_user_thread_count_wins(self, var):
+        numpy_count, _ = threads_after("import numpy", **{var: "2"})
+        assert threads_after("import cohortgeo", **{var: "2"}) == (numpy_count, True)
+
+    def test_numpy_loaded_first_is_left_alone(self):
+        numpy_count, _ = threads_after("import numpy")
+        assert threads_after("import numpy; import cohortgeo") == (numpy_count, True)

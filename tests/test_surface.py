@@ -146,6 +146,15 @@ class TestConstruction:
         assert np.isnan(g.z[0, 1])
         assert g.present[0, 0] and not g.present[0, 1]
 
+    def test_arrays_are_read_only_views(self):
+        rates = np.array([[0.1, 0.2], [0.3, 0.4]])
+        s = make_surface(rates)
+        for arr in (s.years, s.ages, s.rates):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 7
+        assert np.shares_memory(s.rates, rates)
+        assert rates.flags.writeable
+
 
 class TestCsvMatrix:
     def test_two_by_two_layout(self):
