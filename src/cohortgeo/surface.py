@@ -144,15 +144,13 @@ class MortalitySurface:
                 f"rates shape {rates.shape} does not match "
                 f"({years.size} years, {ages.size} ages)"
             )
-        present = ~np.isnan(rates)
-        vals = rates[present]
-        if np.any(~np.isfinite(vals)):
+        # NaN (a missing cell) is neither infinite nor negative.
+        if np.isinf(rates).any():
             raise StructuralError("present rates must be finite")
-        if np.any(vals < 0):
-            bad = np.argwhere(present & (rates < 0))[0]
-            raise StructuralError(
-                f"negative rate at year {years[bad[0]]}, age {ages[bad[1]]}"
-            )
+        negative = rates < 0
+        if negative.any():
+            i, j = np.argwhere(negative)[0]
+            raise StructuralError(f"negative rate at year {years[i]}, age {ages[j]}")
         if not isinstance(self.sex, Sex):
             object.__setattr__(self, "sex", Sex(self.sex))
         object.__setattr__(self, "years", _read_only(years))
@@ -163,15 +161,10 @@ class MortalitySurface:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MortalitySurface):
             return NotImplemented
-        if self.sex != other.sex or self.source_label != other.source_label:
-            return False
-        if not (np.array_equal(self.years, other.years)
-                and np.array_equal(self.ages, other.ages)):
-            return False
-        if not np.array_equal(self.missing_mask, other.missing_mask):
-            return False
-        mask = ~self.missing_mask
-        return bool(np.array_equal(self.rates[mask], other.rates[mask]))
+        return (self.sex == other.sex and self.source_label == other.source_label
+                and np.array_equal(self.years, other.years)
+                and np.array_equal(self.ages, other.ages)
+                and np.array_equal(self.rates, other.rates, equal_nan=True))
 
     @property
     def missing_mask(self) -> np.ndarray:
@@ -318,34 +311,22 @@ def serialize(surface: MortalitySurface, fmt: str = "csv") -> str:
     self-describing. Both restore present values bit-exactly and preserve
     the missing mask on re-parse.
     """
+    mask = surface.missing_mask
+    # Python floats with None at missing cells; csv writes None as an empty
+    # field and floats with repr, json writes them as null and repr.
+    rows = np.where(mask, None, surface.rates).tolist()
     if fmt == "csv":
         out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        mask = surface.missing_mask
-        for i in range(surface.n_years):
-            writer.writerow(
-                ""
-                if mask[i, j]
-                else repr(float(surface.rates[i, j]))
-                for j in range(surface.n_ages)
-            )
+        csv.writer(out, lineterminator="\n").writerows(rows)
         return out.getvalue()
     if fmt == "json":
-        mask = surface.missing_mask
         obj = {
-            "years": [int(y) for y in surface.years],
-            "ages": [int(a) for a in surface.ages],
+            "years": surface.years.tolist(),
+            "ages": surface.ages.tolist(),
             "sex": surface.sex.value,
             "source_label": surface.source_label,
-            "rates": [
-                [None if mask[i, j] else surface.rates[i, j]
-                 for j in range(surface.n_ages)]
-                for i in range(surface.n_years)
-            ],
-            "missing_mask": [
-                [bool(mask[i, j]) for j in range(surface.n_ages)]
-                for i in range(surface.n_years)
-            ],
+            "rates": rows,
+            "missing_mask": mask.tolist(),
         }
         return json.dumps(obj, indent=2) + "\n"
     raise ValueError(f"unknown format {fmt!r}; expected 'csv' or 'json'")

@@ -106,6 +106,18 @@ class TestCEISeriesType:
         with pytest.raises(ValueError, match="malformed series CSV"):
             CEISeries.from_csv(text)
 
+    def test_arrays_are_read_only_views(self):
+        years = np.arange(1950, 1953)
+        values = np.array([1.0, 0.0, 2.5])
+        counts = np.array([2, 0, 1])
+        s = CEISeries(birth_years=years, values=values, point_counts=counts)
+        for arr in (s.birth_years, s.values, s.point_counts):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 7
+        for arr in (years, values, counts):
+            assert arr.flags.writeable
+        assert np.shares_memory(s.values, values)
+
     def test_json_structure(self):
         s = series_of([1.0, 2.0], sex=Sex.TOTAL, source_label="lbl")
         obj = json.loads(s.to_json())
@@ -183,6 +195,14 @@ class TestCeiSeries:
                 assert v_mean == 0.0
             else:
                 assert v_mean == v_sum / n
+
+    def test_mean_normalization_is_labelled(self):
+        surface = make_surface(np.full((5, 5), 0.5))
+        field = cg.compute_geometry_field(surface)
+        label = field.options.label()
+        assert cg.cei_series(field, surface).options_label == label
+        mean = cg.cei_series(field, surface, normalization="mean")
+        assert mean.options_label == label + ",normalization=mean"
 
     def test_unknown_normalization(self):
         surface = make_surface(np.ones((4, 4)))
@@ -376,6 +396,57 @@ class TestDetectPeaks:
         assert obj["window"] == [1900, 1939]
         assert obj["min_gap"] == 6
         assert obj["peaks"][0]["start_year"] == 1912
+
+
+def scan_peaks(years, values, baseline_window, threshold_ratio):
+    """Independent oracle for ``detect_peaks``: walk the elevated mask and
+    close a peak at the end of each run."""
+    baseline = rolling_median_baseline(values, baseline_window)
+    elevated = values > threshold_ratio * baseline
+    peaks = []
+    k = 0
+    n = years.size
+    while k < n:
+        if elevated[k]:
+            start = k
+            while k + 1 < n and elevated[k + 1]:
+                k += 1
+            peaks.append(Peak(
+                start_year=int(years[start]),
+                end_year=int(years[k]),
+                width_years=int(k - start + 1),
+                max_cei=float(np.max(values[start:k + 1])),
+            ))
+        k += 1
+    return tuple(peaks)
+
+
+class TestDetectPeaksOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.25, 2.0, 3.0, 1e-3, 7.5]),
+                        min_size=1, max_size=40),
+        window=st.tuples(st.integers(1890, 1950), st.integers(0, 50)),
+        half_width=st.integers(0, 6),
+        threshold_ratio=st.sampled_from([0.5, 1.0, 1.25, 2.0, 1e-9]),
+    )
+    def test_matches_elevated_run_scan(self, values, window, half_width,
+                                       threshold_ratio):
+        s = series_of(values, first_year=1900)
+        window = (window[0], window[0] + window[1])
+        keep = (s.birth_years >= window[0]) & (s.birth_years <= window[1])
+        years, vals = s.birth_years[keep], s.values[keep]
+        width = 2 * half_width + 1
+        if years.size < width:
+            with pytest.raises(ParameterError):
+                cg.detect_peaks(s, window, width, threshold_ratio)
+            return
+        report = cg.detect_peaks(s, window, width, threshold_ratio)
+        peaks = scan_peaks(years, vals, width, threshold_ratio)
+        assert report.peaks == peaks
+        widths = [p.width_years for p in peaks]
+        assert report.min_gap == (min(widths) if widths else None)
+        assert report.max_gap == (max(widths) if widths else None)
 
 
 class TestUShape:

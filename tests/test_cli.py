@@ -157,6 +157,16 @@ class TestCei:
         assert all(set(e) == {"birth_year", "cei", "point_count"}
                    for e in obj["entries"])
 
+    def test_json_options_name_mean_normalization(self, ridge_csv, capsys):
+        options = []
+        for flags in ((), ("--normalization", "sum"), ("--normalization", "mean")):
+            assert run("cei", str(ridge_csv), "--input-format", "csv",
+                       "--first-year", "1900", "--first-age", "0",
+                       "--format", "json", *flags) == 0
+            options.append(json.loads(capsys.readouterr().out)["options"])
+        assert options == ["z_scale=1.0", "z_scale=1.0",
+                           "z_scale=1.0,normalization=mean"]
+
     def test_svg_output(self, ridge_csv, tmp_path):
         out = tmp_path / "chart.svg"
         assert run("cei", str(ridge_csv), "--input-format", "csv",

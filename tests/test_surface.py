@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -130,8 +131,25 @@ class TestConstruction:
             )
 
     def test_infinite_rate_rejected(self):
-        with pytest.raises(StructuralError):
-            make_surface([[np.inf, 0.2], [0.3, 0.4]])
+        for rates in ([[np.inf, 0.2], [0.3, 0.4]], [[np.nan, 0.2], [0.3, -np.inf]]):
+            with pytest.raises(StructuralError, match="present rates must be finite"):
+                make_surface(rates)
+
+    def test_negative_rate_error_names_first_cell_in_c_order(self):
+        rates = [[0.1, np.nan, -0.0], [0.2, 0.3, -1e-300], [-5.0, np.nan, 0.4]]
+        with pytest.raises(StructuralError,
+                           match=r"^negative rate at year 2001, age 2$"):
+            make_surface(rates)
+
+    def test_equality_needs_matching_nan_positions(self):
+        s = make_surface([[0.0, np.nan], [0.3, 0.4]])
+        assert s == make_surface([[-0.0, np.nan], [0.3, 0.4]])
+        assert s != make_surface([[0.0, 0.5], [0.3, 0.4]])
+        assert s != make_surface([[np.nan, 0.0], [0.3, 0.4]])
+        assert s != make_surface([[0.0, np.nan], [0.3, 0.4]], label="other")
+        assert s != make_surface([[0.0, np.nan], [0.3, 0.4]], first_age=1)
+        assert s != make_surface([[0.0, np.nan]])
+        assert s != "surface"
 
     def test_keyerror_outside_grid(self):
         s = make_surface([[0.1, 0.2], [0.3, 0.4]])
@@ -300,6 +318,34 @@ class TestSerialization:
         else:
             again = parse_json(text)
         assert again == s
+
+
+class TestSerializeGoldenBytes:
+    """sha256 digests of :func:`serialize` output. They pin every byte:
+    float repr, empty and quoted missing cells, key order and escaping."""
+
+    DIGESTS = {
+        ("mixed", "csv"): "035bf5f45c201cfcafe76f60e66d2d56c79531732deeaa0ceddcdc776e593e8c",
+        ("mixed", "json"): "efb1a765233c5e9376c1c2287bd484269c34c0e218852cc472f61515b495b3a8",
+        ("column", "csv"): "f2c2942d8a6f2a037c488b8cf9b2a22d6ed9255cd3e0fda58b968d5046c4c9e2",
+        ("column", "json"): "25d89f705b6008ab18cc602b47bd2fe21841264fce12c61859ad9d93b4963737",
+    }
+
+    @staticmethod
+    def surface(name: str) -> MortalitySurface:
+        if name == "mixed":
+            rates = [[0.1, np.nan, -0.0, 5e-324],
+                     [1e308, 0.1 + 0.2, np.nan, 2.0 / 3.0],
+                     [0.0, 1e-17, 1234567.8901234567, np.nan]]
+            return make_surface(rates, first_year=1950, sex=Sex.FEMALE,
+                                label='x, "y"')
+        # one column: the csv module quotes a row holding one empty field
+        return make_surface([[0.5], [np.nan], [1e-3]], first_age=7, label="")
+
+    @pytest.mark.parametrize("name, fmt", sorted(DIGESTS))
+    def test_digest(self, name, fmt):
+        text = serialize(self.surface(name), fmt)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[name, fmt]
 
 
 class TestSurfaceGrid:
