@@ -228,10 +228,15 @@ class CohortReport:
 
 def cei_series(
     field: GeometryField,
-    surface: MortalitySurface | None = None,
+    surface: MortalitySurface,
     normalization: str = "sum",
 ) -> CEISeries:
     """Aggregate |NC_cohort - NC_cross| per birth cohort.
+
+    ``field`` must be the geometry of ``surface``: its axes must equal the
+    surface's years and ages, or :class:`ConsistencyError` is raised. The
+    cohorts, sex and source label come from the surface, which has already
+    validated its axes as integers with step 1.
 
     The series spans every cohort the grid touches, from (first year -
     last age) through (last year - first age); cohorts without valid
@@ -241,22 +246,9 @@ def cei_series(
     """
     if normalization not in ("sum", "mean"):
         raise ParameterError(f"unknown normalization {normalization!r}")
-    years_f = np.asarray(field.years, dtype=float)
-    ages_f = np.asarray(field.ages, dtype=float)
-    if np.any(years_f != np.round(years_f)) or np.any(ages_f != np.round(ages_f)):
-        raise ConsistencyError("cohort aggregation needs integer year/age axes")
-    years = years_f.astype(int)
-    ages = ages_f.astype(int)
-    if (np.any(np.diff(years) != 1)) or (np.any(np.diff(ages) != 1)):
-        raise ConsistencyError("cohort aggregation needs step-1 year/age axes")
-    if surface is not None:
-        if (surface.years.size != years.size or surface.ages.size != ages.size
-                or np.any(surface.years != years) or np.any(surface.ages != ages)):
-            raise ConsistencyError(
-                "geometry field axes do not match the supplied surface"
-            )
-    sex = getattr(surface, "sex", None)
-    label = getattr(surface, "source_label", "")
+    years, ages = surface.years, surface.ages
+    if not (np.array_equal(field.years, years) and np.array_equal(field.ages, ages)):
+        raise ConsistencyError("geometry field axes do not match the supplied surface")
 
     c_min = int(years[0]) - int(ages[-1])
     c_max = int(years[-1]) - int(ages[0])
@@ -280,8 +272,8 @@ def cei_series(
         birth_years=np.arange(c_min, c_max + 1),
         values=values,
         point_counts=counts.astype(int),
-        sex=sex,
-        source_label=label,
+        sex=surface.sex,
+        source_label=surface.source_label,
         options_label=options_label,
     )
 

@@ -40,24 +40,19 @@ EXIT_ANALYTICS = 4
 _OUTPUT_DIR_ENV = "COHORTGEO_OUTPUT_DIR"
 
 
-def _parse_year_range(text: str) -> tuple[int, int]:
-    try:
-        lo, hi = text.split(":")
-        return int(lo), int(hi)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected LOW:HIGH integer range, got {text!r}"
-        ) from None
+def _pair_parser(sep: str, convert: type, expected: str):
+    """An argparse type that splits ``A<sep>B`` and converts both parts."""
+    def parse(text: str) -> tuple:
+        try:
+            a, b = text.split(sep)
+            return convert(a), convert(b)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
+    return parse
 
 
-def _parse_point(text: str) -> tuple[float, float]:
-    try:
-        t, x = text.split(",")
-        return float(t), float(x)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected T,X pair, got {text!r}"
-        ) from None
+_parse_year_range = _pair_parser(":", int, "LOW:HIGH integer range")
+_parse_point = _pair_parser(",", float, "T,X pair")
 
 
 def _add_input_args(p: argparse.ArgumentParser) -> None:
@@ -93,6 +88,15 @@ def _add_window_args(p: argparse.ArgumentParser) -> None:
                    help="analysis window of birth years (default: 1922:1970)")
 
 
+def _add_peak_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--baseline-window", type=int,
+                   default=analytics.DEFAULT_BASELINE_WINDOW,
+                   help="rolling-median width in years (default: %(default)s)")
+    p.add_argument("--threshold", type=float,
+                   default=analytics.DEFAULT_THRESHOLD_RATIO, dest="threshold_ratio",
+                   help="peak threshold over baseline (default: %(default)s)")
+
+
 def _add_output_args(p: argparse.ArgumentParser, formats: tuple[str, ...],
                      default: str) -> None:
     p.add_argument("--format", choices=formats, default=default,
@@ -119,13 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_series_args(p)
         _add_window_args(p)
         if name == "gaps":
-            p.add_argument("--baseline-window", type=int,
-                           default=analytics.DEFAULT_BASELINE_WINDOW,
-                           help="rolling-median width in years (default: 11)")
-            p.add_argument("--threshold", type=float,
-                           default=analytics.DEFAULT_THRESHOLD_RATIO,
-                           dest="threshold_ratio",
-                           help="peak threshold over baseline (default: 1.25)")
+            _add_peak_args(p)
         _add_output_args(p, formats, "csv")
 
     p_surface = sub.add_parser("surface", help="dump the pointwise geometry field")
@@ -168,11 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="skip the analysis-window shading")
     p_plot.add_argument("--no-peaks", action="store_true",
                         help="skip peak annotations")
-    p_plot.add_argument("--baseline-window", type=int,
-                        default=analytics.DEFAULT_BASELINE_WINDOW)
-    p_plot.add_argument("--threshold", type=float,
-                        default=analytics.DEFAULT_THRESHOLD_RATIO,
-                        dest="threshold_ratio")
+    _add_peak_args(p_plot)
     p_plot.add_argument("-o", "--output", default=None, dest="output_path")
 
     return parser
@@ -256,19 +250,18 @@ def _synthetic_surface(args: argparse.Namespace) -> MortalitySurface:
     # domain padded by one step so 3-point stencils at the edge stay inside
     domain = ((float(y0) - 1.0, float(y1) + 1.0),
               (float(a0) - 1.0, float(a1) + 1.0))
+    center = args.center or ((y0 + y1) / 2.0, (a0 + a1) / 2.0)  # sphere, bump
     shape = args.shape
     if shape == "plane":
         surf = smooth.plane(args.a, args.b, args.c, domain=domain)
     elif shape == "sphere":
-        center = args.center or ((y0 + y1) / 2.0, (a0 + a1) / 2.0)
         surf = smooth.sphere_cap(args.radius, center=center, domain=domain)
     elif shape == "ridge":
-        center = (args.ridge_center if args.ridge_center is not None
+        cohort = (args.ridge_center if args.ridge_center is not None
                   else (y0 + y1) / 2.0 - (a0 + a1) / 2.0)
         surf = smooth.gaussian_ridge(width=args.width, amplitude=args.amplitude,
-                                     center=center, domain=domain)
+                                     center=cohort, domain=domain)
     elif shape == "bump":
-        center = args.center or ((y0 + y1) / 2.0, (a0 + a1) / 2.0)
         surf = smooth.gaussian_bump(args.sigma, center=center,
                                     amplitude=args.amplitude, domain=domain)
     else:
@@ -277,10 +270,6 @@ def _synthetic_surface(args: argparse.Namespace) -> MortalitySurface:
                                        improvement=args.improvement,
                                        domain=domain)
     return smooth.materialize_mortality_surface(surf, years, ages)
-
-
-def cmd_synthetic(args: argparse.Namespace) -> str:
-    return serialize(_synthetic_surface(args), args.output_format)
 
 
 def cmd_plot(args: argparse.Namespace) -> str:
@@ -312,7 +301,7 @@ def main(argv: list[str] | None = None) -> int:
             if lo > hi:
                 raise ValueError(f"--{flag} {lo}:{hi} is reversed")
         if args.command == "synthetic":
-            text = cmd_synthetic(args)
+            text = serialize(_synthetic_surface(args), args.output_format)
         elif args.command == "plot":
             text = cmd_plot(args)
         else:

@@ -76,7 +76,8 @@ class SurfaceGrid:
     This is the structure the curvature kernel actually consumes. Mortality
     surfaces convert to it via :meth:`MortalitySurface.to_grid`; synthetic
     test surfaces may build it directly with non-integer spacing. NaN cells
-    are missing.
+    are missing. Like :class:`MortalitySurface`, it stores read-only views
+    of float input, not copies.
     """
 
     t: np.ndarray
@@ -100,9 +101,9 @@ class SurfaceGrid:
             )
         if np.any(np.isinf(z)):
             raise StructuralError("grid values must be finite or NaN (missing)")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "t", _read_only(t))
+        object.__setattr__(self, "x", _read_only(x))
+        object.__setattr__(self, "z", _read_only(z))
 
     @property
     def present(self) -> np.ndarray:

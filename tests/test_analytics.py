@@ -21,6 +21,7 @@ from cohortgeo import (
     Peak,
     SampleSizeError,
     Sex,
+    SurfaceGrid,
     UndefinedAiceError,
     render_series_chart,
     smooth,
@@ -131,9 +132,9 @@ class TestCeiSeries:
     def test_plane_all_zero(self):
         t = np.arange(10)[:, None]
         x = np.arange(8)[None, :]
-        field = cg.compute_geometry_field(make_surface(0.2 * t + 0.3 * x + 1.0,
-                                                       first_year=1900))
-        s = cg.cei_series(field)
+        surface = make_surface(0.2 * t + 0.3 * x + 1.0, first_year=1900)
+        field = cg.compute_geometry_field(surface)
+        s = cg.cei_series(field, surface)
         assert np.abs(s.values).max() < 1e-12
 
     def test_covered_cohort_range(self):
@@ -181,7 +182,7 @@ class TestCeiSeries:
         grid = smooth.sample_grid(surf, -5, 5, -5, 5, step=0.5)
         field = cg.compute_geometry_field(grid)
         with pytest.raises(ConsistencyError):
-            cg.cei_series(field)
+            cg.cei_series(field, make_surface(np.ones(grid.shape)))
 
     def test_mean_normalization(self):
         rng = np.random.default_rng(19)
@@ -217,6 +218,16 @@ class TestCeiSeries:
         assert s.sex is Sex.MALE
         assert s.source_label == "lbl"
         assert "z_scale" in s.options_label
+
+    @pytest.mark.filterwarnings("error")
+    def test_axes_past_int64_rejected_without_warning(self):
+        # Integral floats that no int64 holds: the field cannot be the
+        # geometry of any surface, and nothing is cast to find that out.
+        grid = SurfaceGrid(t=2.0**63 + 2048 * np.arange(5), x=np.arange(5.0),
+                           z=np.full((5, 5), 0.5))
+        field = cg.compute_geometry_field(grid)
+        with pytest.raises(ConsistencyError):
+            cg.cei_series(field, make_surface(np.full((5, 5), 0.5)))
 
 
 class TestTrim:

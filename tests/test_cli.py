@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import io
 import json
@@ -28,8 +29,13 @@ from cohortgeo import (
     render_series_chart,
     trim_series,
 )
-from cohortgeo.analytics import DEFAULT_TRIM_YEAR, DEFAULT_WINDOW
-from cohortgeo.cli import main
+from cohortgeo.analytics import (
+    DEFAULT_BASELINE_WINDOW,
+    DEFAULT_THRESHOLD_RATIO,
+    DEFAULT_TRIM_YEAR,
+    DEFAULT_WINDOW,
+)
+from cohortgeo.cli import build_parser, main
 from cohortgeo.svgchart import _ticks
 from conftest import make_hmd_text, package_env
 
@@ -438,6 +444,49 @@ class TestPlot:
         assert out.exists()
 
 
+def subparser(command: str) -> argparse.ArgumentParser:
+    parser = build_parser()
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices[command]
+
+
+class TestArgumentShapes:
+    @pytest.mark.parametrize("argv, message", [
+        (("aice", "F", "--window", "oops"),
+         "argument --window: expected LOW:HIGH integer range, got 'oops'"),
+        (("aice", "F", "--window", "1:2:3"),
+         "argument --window: expected LOW:HIGH integer range, got '1:2:3'"),
+        (("synthetic", "--shape", "sphere", "--years", "0:4", "--ages", "0:4",
+          "--center", "1,2,3"),
+         "argument --center: expected T,X pair, got '1,2,3'"),
+        (("synthetic", "--shape", "bump", "--years", "0:4", "--ages", "0:4",
+          "--center", "a,b"),
+         "argument --center: expected T,X pair, got 'a,b'"),
+    ], ids=["window-word", "window-three-parts", "center-three-parts",
+            "center-letters"])
+    def test_malformed_pair_exact_stderr(self, argv, message, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2
+        usage = subparser(argv[0]).format_usage()
+        assert capsys.readouterr().err == (
+            f"{usage}cohortgeo {argv[0]}: error: {message}\n")
+
+    def test_gaps_and_plot_read_peak_options_alike(self):
+        def peak_options(command):
+            return {a.option_strings[0]: (a.dest, a.type, a.default)
+                    for a in subparser(command)._actions
+                    if a.option_strings[:1] in (["--baseline-window"], ["--threshold"])}
+        gaps = peak_options("gaps")
+        assert gaps == {
+            "--baseline-window": ("baseline_window", int, DEFAULT_BASELINE_WINDOW),
+            "--threshold": ("threshold_ratio", float, DEFAULT_THRESHOLD_RATIO),
+        }
+        assert peak_options("plot") == gaps
+
+
 class TestOutputHandling:
     def test_reruns_byte_identical(self, ridge_csv, tmp_path):
         a = tmp_path / "a.csv"
@@ -679,7 +728,8 @@ def _invocations(draw, directory) -> list[str]:
         formats = ["csv", "json", "svg"] if command == "cei" else ["csv", "json"]
         maybe("--format", draw(st.sampled_from(formats)))
     maybe("-o", str(directory / "out" / "result.txt"))
-    maybe(draw(st.sampled_from(["--bogus", "--format=pdf", "--window=1:x"])))
+    maybe(draw(st.sampled_from(["--bogus", "--format=pdf", "--window=1:x",
+                                "--center=1,2,3", "--years=1:2:3"])))
     return argv
 
 

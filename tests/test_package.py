@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
+import importlib.util
 import os
 import subprocess
 import sys
+import types
+import typing
 from pathlib import Path
 
 import pytest
@@ -73,6 +77,92 @@ def test_package_import_leaves_the_oracle_unloaded():
 def test_cli_import_loads_no_network_modules():
     probe = ("import sys, cohortgeo.cli; print(sorted(m for m in "
              "('xml.sax', 'urllib.request', 'http.client') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=package_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+# --- the benchmark's hooks into the package ----------------------------------
+# perfbench wraps package functions by name and reads result attributes; these
+# checks read its source and never import it.
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def perfbench_tree(name: str) -> ast.Module:
+    return ast.parse((PERFBENCH / name).read_text())
+
+
+def spans_constant(name: str):
+    for node in perfbench_tree("spans.py").body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"spans.py defines no {name}")
+
+
+def test_perfbench_imports_from_the_package_resolve():
+    checked = 0
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.ImportFrom) and node.level == 0
+                    and node.module.split(".")[0] == "cohortgeo"):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    assert (hasattr(module, alias.name)
+                            or importlib.util.find_spec(f"{node.module}.{alias.name}")
+                            ), f"{path.name}: {node.module}.{alias.name}"
+                    checked += 1
+    assert checked
+
+
+def test_spans_functions_are_module_level_functions():
+    for mod_name, names in spans_constant("_FUNCTIONS").items():
+        module = importlib.import_module(f"cohortgeo.{mod_name}")
+        for fn_name in names:
+            assert isinstance(vars(module).get(fn_name), types.FunctionType), \
+                f"{mod_name}.{fn_name}"
+
+
+def test_spans_methods_are_in_the_class_dict():
+    for mod_name, classes in spans_constant("_METHODS").items():
+        module = importlib.import_module(f"cohortgeo.{mod_name}")
+        for cls_name, methods in classes.items():
+            cls = getattr(module, cls_name)
+            for meth in methods:
+                assert meth in cls.__dict__, f"{cls_name}.{meth}"
+
+
+def test_span_counts_read_attributes_the_results_have():
+    """Each ``name == "<module>.<function>"`` branch of ``Recorder._count``
+    reads ``result.<attr>``; the function's return type must have them."""
+    count = next(node for node in ast.walk(perfbench_tree("spans.py"))
+                 if isinstance(node, ast.FunctionDef) and node.name == "_count")
+    read: dict[str, set[str]] = {}
+    for branch in ast.walk(count):
+        if not (isinstance(branch, ast.If) and isinstance(branch.test, ast.Compare)
+                and isinstance(branch.test.comparators[0], ast.Constant)):
+            continue
+        attrs = read.setdefault(branch.test.comparators[0].value, set())
+        for node in ast.walk(ast.Module(body=branch.body, type_ignores=[])):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "result"):
+                attrs.add(node.attr)
+    assert set(read) == {"hmd.parse_hmd", "surface.parse_csv_matrix",
+                         "geometry.compute_geometry_field"}
+    for span, attrs in read.items():
+        mod_name, fn_name = span.split(".")
+        fn = getattr(importlib.import_module(f"cohortgeo.{mod_name}"), fn_name)
+        cls = typing.get_type_hints(fn)["return"]
+        fields = {f.name for f in dataclasses.fields(cls)}
+        missing = {a for a in attrs if a not in fields and not hasattr(cls, a)}
+        assert attrs and not missing, (span, missing)
+
+
+def test_package_import_loads_every_traced_module():
+    modules = sorted(f"cohortgeo.{m}" for m in spans_constant("_FUNCTIONS"))
+    probe = f"import sys, cohortgeo; print([m for m in {modules!r} if m not in sys.modules])"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, env=package_env())
     assert proc.returncode == 0, proc.stderr

@@ -362,6 +362,18 @@ class TestSurfaceGrid:
                         z=np.zeros((3, 2)))
         assert g.shape == (3, 2)
 
+    def test_arrays_are_read_only_views(self):
+        t, x = np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.5])
+        z = np.array([[0.1, 0.2], [0.3, np.nan], [0.5, 0.6]])
+        g = SurfaceGrid(t=t, x=x, z=z)
+        for arr in (g.t, g.x, g.z):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 7
+        for arr in (t, x, z):
+            assert arr.flags.writeable
+        for mine, theirs in ((g.t, t), (g.x, x), (g.z, z)):
+            assert np.shares_memory(mine, theirs)
+
 
 # --- parser totality --------------------------------------------------------
 
