@@ -33,7 +33,7 @@ from .errors import (
     UndefinedAiceError,
 )
 from .geometry import COHORT, CROSS, GeometryField
-from .surface import MortalitySurface, Sex, _read_only
+from .surface import MortalitySurface, Sex, _content_eq, _store_read_only
 
 DEFAULT_TRIM_YEAR = 1970
 DEFAULT_WINDOW = (1922, 1970)
@@ -87,9 +87,7 @@ class CEISeries:
             raise ValueError("point counts must be >= 0")
         if np.any(values[counts == 0] != 0.0):
             raise ValueError("cohorts with zero points must have zero value")
-        for name, arr in (("birth_years", years), ("values", values),
-                          ("point_counts", counts)):
-            object.__setattr__(self, name, _read_only(arr))
+        _store_read_only(self, birth_years=years, values=values, point_counts=counts)
 
     def __len__(self) -> int:
         return int(self.birth_years.size)
@@ -98,17 +96,7 @@ class CEISeries:
         return zip(self.birth_years.tolist(), self.values.tolist(),
                    self.point_counts.tolist())
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CEISeries):
-            return NotImplemented
-        return (
-            np.array_equal(self.birth_years, other.birth_years)
-            and np.array_equal(self.values, other.values)
-            and np.array_equal(self.point_counts, other.point_counts)
-            and self.sex == other.sex
-            and self.source_label == other.source_label
-            and self.options_label == other.options_label
-        )
+    __eq__ = _content_eq
 
     @property
     def first_year(self) -> int:
@@ -353,18 +341,20 @@ def detect_peaks(
     year is elevated when value > threshold_ratio * baseline. Each maximal
     elevated run becomes one peak; min_gap/max_gap are the extreme peak
     widths. Deterministic: no randomness, ties resolve by the strict >.
+    Malformed options raise :class:`ParameterError`, checked before a window
+    with fewer than ``baseline_window`` cohorts raises :class:`SampleSizeError`.
     """
     if not (0 < threshold_ratio < np.inf):
         raise ParameterError("threshold_ratio must be positive and finite")
     years, values = _windowed(series, window)
+    baseline = rolling_median_baseline(values, baseline_window)
     if years.size == 0:
-        raise ParameterError(f"window {window} contains no cohorts")
+        raise SampleSizeError(f"window {window} contains no cohorts")
     if years.size < baseline_window:
-        raise ParameterError(
+        raise SampleSizeError(
             f"window has {years.size} cohorts, fewer than the "
             f"baseline window {baseline_window}"
         )
-    baseline = rolling_median_baseline(values, baseline_window)
     elevated = values > threshold_ratio * baseline
     # In the False-padded mask, flips alternate between the first index of
     # an elevated run and the index just past its end.

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import analytics
 from .analytics import CEISeries, cei_series, detect_peaks, trim_series
-from .errors import AnalyticsError, GeometryError, IngestError
+from .errors import AnalyticsError, GeometryError, IngestError, SampleSizeError
 from .geometry import GeometryOptions, compute_geometry_field
 from .hmd import load_hmd
 from .surface import MortalitySurface, Sex, parse_csv_matrix, serialize
@@ -75,7 +75,7 @@ def _add_geometry_args(p: argparse.ArgumentParser) -> None:
 
 def _add_series_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trim-year", type=int, default=analytics.DEFAULT_TRIM_YEAR,
-                   help="drop cohorts born after this year (default: 1970)")
+                   help="drop cohorts born after this year (default: %(default)s)")
     p.add_argument("--no-trim", action="store_true",
                    help="keep all cohorts including the zeroed border ones")
     p.add_argument("--normalization", choices=("sum", "mean"), default="sum",
@@ -85,7 +85,8 @@ def _add_series_args(p: argparse.ArgumentParser) -> None:
 def _add_window_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--window", type=_parse_year_range,
                    default=analytics.DEFAULT_WINDOW, metavar="Y0:Y1",
-                   help="analysis window of birth years (default: 1922:1970)")
+                   help="analysis window of birth years (default: %d:%d)"
+                   % analytics.DEFAULT_WINDOW)
 
 
 def _add_peak_args(p: argparse.ArgumentParser) -> None:
@@ -286,7 +287,7 @@ def cmd_plot(args: argparse.Namespace) -> str:
                                   baseline_window=args.baseline_window,
                                   threshold_ratio=args.threshold_ratio)
             peaks = report.peaks
-        except AnalyticsError:
+        except SampleSizeError:
             peaks = None  # window/series too short to annotate; chart anyway
     return render_series_chart(series_list, width=args.width, height=args.height,
                                title=args.title, window=window, peaks=peaks)

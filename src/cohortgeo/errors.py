@@ -75,11 +75,12 @@ class UndefinedAiceError(AnalyticsError):
 
 
 class SampleSizeError(AnalyticsError):
-    """Fewer than two windowed entries; sample deviation undefined."""
+    """Too few windowed entries: fewer than two for a sample deviation, or
+    fewer than the baseline window for peak detection."""
 
 
 class ParameterError(AnalyticsError):
-    """Invalid analysis parameters (window shorter than baseline, ...)."""
+    """Invalid analysis parameters (reversed window, even baseline width, ...)."""
 
 
 class QuadratureError(CohortGeoError):

@@ -59,7 +59,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -70,7 +70,7 @@ from .errors import (
     StructuralError,
     SurfaceSizeError,
 )
-from .surface import MortalitySurface, SurfaceGrid
+from .surface import MortalitySurface, SurfaceGrid, _store_read_only
 
 COHORT, CROSS, PERIOD, AGE = 0, 1, 2, 3
 DIRECTION_NAMES = ("cohort", "cross", "period", "age")
@@ -255,7 +255,8 @@ class GeometryField:
 
     Arrays are full grid size; border points and points rejected by the
     kernel have ``valid == False`` and all-zero fields. Direction index
-    order is ``(cohort, cross, period, age)``.
+    order is ``(cohort, cross, period, age)``. Like :class:`SurfaceGrid`,
+    it stores read-only views of the arrays passed in, not copies.
 
     :meth:`to_csv` and :meth:`to_json` export the coordinates, validity,
     normals and normal curvatures. They format in bulk, a block of grid
@@ -274,6 +275,10 @@ class GeometryField:
     normal_curvatures: np.ndarray     # (ny, nx, 4) signed
     options: GeometryOptions
 
+    def __post_init__(self) -> None:
+        _store_read_only(self, **{f.name: getattr(self, f.name) for f in fields(self)
+                                  if f.name != "options"})
+
     @property
     def shape(self) -> tuple[int, int]:
         return self.valid.shape
@@ -283,7 +288,7 @@ class GeometryField:
         lines = [",".join(["year", "age", "valid", "normal_t", "normal_x", "normal_z"]
                           + [f"nc_{name}" for name in DIRECTION_NAMES])]
         ages = [_format_coord(x) for x in self.ages]
-        for rows in _row_blocks(len(self.years), len(ages)):
+        for rows in _row_blocks(0, len(self.years), len(ages), _EMIT_POINTS):
             years = [_format_coord(t) for t in self.years[rows]]
             normals = _repr_leaves(self.normals[rows])
             curvatures = _repr_leaves(self.normal_curvatures[rows])
@@ -324,9 +329,10 @@ def _format_coord(v: float) -> str:
 _EMIT_POINTS = 8192
 
 
-def _row_blocks(ny: int, nx: int) -> list[slice]:
-    step = max(1, _EMIT_POINTS // max(nx, 1))
-    return [slice(i, i + step) for i in range(0, ny, step)]
+def _row_blocks(start: int, stop: int, nx: int, points: int) -> list[slice]:
+    """Rows start..stop-1 of width ``nx`` cut into blocks of about ``points``."""
+    step = max(1, points // max(nx, 1))
+    return [slice(i, min(i + step, stop)) for i in range(start, stop, step)]
 
 
 def _repr_leaves(a: np.ndarray) -> list[str]:
@@ -352,7 +358,7 @@ def _json_array(a: np.ndarray) -> list[str]:
         return ["[]"]
     sep = ",\n    "
     pieces = ["[\n    "]
-    for rows in _row_blocks(len(a), a[0].size):
+    for rows in _row_blocks(0, len(a), a[0].size, _EMIT_POINTS):
         block = a[rows]
         if block.dtype == bool:
             items = _flag_leaves(block)
@@ -399,9 +405,9 @@ def compute_point_geometry(grid: SurfaceGrid, i: int, j: int):
     return tangents, cvs, normal, ncs
 
 
-def _kernel_rows(grid: SurfaceGrid, r0: int, r1: int,
+def _kernel_rows(grid: SurfaceGrid, rows: slice,
                  out: tuple[np.ndarray, ...]) -> None:
-    """Kernel over interior rows ``r0..r1-1``, reading one halo row each side.
+    """Kernel over the interior ``rows``, reading one halo row each side.
 
     Builds the block's ``(h+2, nx, 3)`` point slab from ``grid``'s rows.
     ``out`` is ``(valid, tangents, curvature_vectors, normals,
@@ -412,6 +418,7 @@ def _kernel_rows(grid: SurfaceGrid, r0: int, r1: int,
     arithmetic as :func:`compute_point_geometry` at each valid point.
     """
     nx = grid.x.size
+    r0, r1 = rows.start, rows.stop
     h = r1 - r0
     P = np.empty((h + 2, nx, 3))
     P[..., 0] = grid.t[r0 - 1:r1 + 1, None]
@@ -419,8 +426,7 @@ def _kernel_rows(grid: SurfaceGrid, r0: int, r1: int,
     P[..., 2] = grid.z[r0 - 1:r1 + 1]
     center = P[1:-1, 1:-1]
     valid = np.ones((h, nx - 2), dtype=bool)
-    rows = (slice(r0, r1), slice(1, -1))
-    valid_out, V, CV, n_out, NC_out = (a[rows] for a in out)
+    valid_out, V, CV, n_out, NC_out = (a[rows, 1:-1] for a in out)
     with np.errstate(all="ignore"):
         for k, ((di0, dj0), (di2, dj2)) in enumerate(_STENCIL_OFFSETS):
             q0 = P[1 + di0:h + 1 + di0, 1 + dj0:nx - 1 + dj0]
@@ -503,20 +509,17 @@ def compute_geometry_field(surface: MortalitySurface | SurfaceGrid,
         np.zeros((ny, nx, 3)),
         np.zeros((ny, nx, 4)),
     )
-    step = max(1, _BLOCK_POINTS // nx)
-    blocks = [(r0, min(r0 + step, ny - 1)) for r0 in range(1, ny - 1, step)]
+    blocks = _row_blocks(1, ny - 1, nx, _BLOCK_POINTS)
     workers = 1 if ny * nx <= _SERIAL_POINTS else _worker_count(len(blocks))
     if workers <= 1:
-        for r0, r1 in blocks:
-            _kernel_rows(grid, r0, r1, out)
+        for rows in blocks:
+            _kernel_rows(grid, rows, out)
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_kernel_rows, grid, r0, r1, out)
-                       for r0, r1 in blocks]
-            for future in futures:
-                future.result()
+            # list() waits for every block and re-raises a block's error
+            list(pool.map(lambda rows: _kernel_rows(grid, rows, out), blocks))
 
     valid, tangents, curvature_vectors, normals, normal_curvatures = out
     return GeometryField(

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -38,7 +39,7 @@ _HEADER_COLUMNS = ("Year", "Age", "Female", "Male", "Total")
 
 @dataclass(frozen=True)
 class HmdParseResult:
-    """Three per-sex surfaces plus row accounting for audit."""
+    """Three per-sex surfaces, in a read-only mapping, plus row accounting."""
 
     surfaces: Mapping[Sex, MortalitySurface]
     title: str
@@ -154,7 +155,7 @@ def parse_hmd(text: str) -> HmdParseResult:
     # Every cell is written: the checks above make rows a bijection onto the grid.
     cube = np.empty((3, n_years, n_ages))
     cube[:, year_col - y0, age_col - a0] = np.array(list(rows.values())).T
-    surfaces = {
+    surfaces = MappingProxyType({
         sex: MortalitySurface(
             years=y0 + np.arange(n_years),
             ages=a0 + np.arange(n_ages),
@@ -163,7 +164,7 @@ def parse_hmd(text: str) -> HmdParseResult:
             source_label=title,
         )
         for k, sex in enumerate(Sex)
-    }
+    })
     return HmdParseResult(
         surfaces=surfaces,
         title=title,

@@ -24,7 +24,7 @@ import io
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Iterable
 
@@ -62,11 +62,24 @@ def _as_contiguous_int_axis(values: Iterable[int], what: str) -> np.ndarray:
     return arr
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    """A view of ``arr`` that refuses writes; ``arr`` keeps its own flag."""
-    view = arr.view()
-    view.flags.writeable = False
-    return view
+def _store_read_only(value: object, **arrays: np.ndarray) -> None:
+    """Store each array on the frozen ``value`` as a view that refuses
+    writes. The views share memory with the arrays passed in, which keep
+    their own flags."""
+    for name, arr in arrays.items():
+        view = arr.view()
+        view.flags.writeable = False
+        object.__setattr__(value, name, view)
+
+
+def _content_eq(self, other: object) -> bool:
+    """Equality by content for frozen values holding arrays: arrays by
+    :func:`numpy.array_equal` with NaN equal to NaN, other fields by ``==``."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+    return all(np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray)
+               else a == b for a, b in pairs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,9 +114,7 @@ class SurfaceGrid:
             )
         if np.any(np.isinf(z)):
             raise StructuralError("grid values must be finite or NaN (missing)")
-        object.__setattr__(self, "t", _read_only(t))
-        object.__setattr__(self, "x", _read_only(x))
-        object.__setattr__(self, "z", _read_only(z))
+        _store_read_only(self, t=t, x=x, z=z)
 
     @property
     def present(self) -> np.ndarray:
@@ -154,18 +165,9 @@ class MortalitySurface:
             raise StructuralError(f"negative rate at year {years[i]}, age {ages[j]}")
         if not isinstance(self.sex, Sex):
             object.__setattr__(self, "sex", Sex(self.sex))
-        object.__setattr__(self, "years", _read_only(years))
-        object.__setattr__(self, "ages", _read_only(ages))
-        object.__setattr__(self, "rates", _read_only(rates))
+        _store_read_only(self, years=years, ages=ages, rates=rates)
 
-    # NumPy fields break the generated __eq__; compare content explicitly.
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MortalitySurface):
-            return NotImplemented
-        return (self.sex == other.sex and self.source_label == other.source_label
-                and np.array_equal(self.years, other.years)
-                and np.array_equal(self.ages, other.ages)
-                and np.array_equal(self.rates, other.rates, equal_nan=True))
+    __eq__ = _content_eq
 
     @property
     def missing_mask(self) -> np.ndarray:

@@ -119,6 +119,26 @@ class TestCEISeriesType:
             assert arr.flags.writeable
         assert np.shares_memory(s.values, values)
 
+    @pytest.mark.parametrize("name, value", [
+        ("birth_years", np.arange(1901, 1904)),
+        ("values", np.array([1.0, 2.0, 4.0])),
+        ("point_counts", np.array([1, 1, 2])),
+        ("sex", Sex.MALE),
+        ("source_label", "other"),
+        ("options_label", "z_scale=2.0"),
+    ])
+    def test_each_field_alone_breaks_equality(self, name, value):
+        s = series_of([1.0, 2.0, 3.0], sex=Sex.TOTAL, source_label="lbl",
+                      options_label="z_scale=1.0")
+        assert s == replace(s)
+        assert replace(s, **{name: value}) != s
+
+    def test_other_types_are_unequal(self):
+        s = series_of([1.0, 2.0])
+        assert s != s.to_csv()
+        assert s != list(s)
+        assert s.__eq__(object()) is NotImplemented
+
     def test_json_structure(self):
         s = series_of([1.0, 2.0], sex=Sex.TOTAL, source_label="lbl")
         obj = json.loads(s.to_json())
@@ -368,7 +388,7 @@ class TestDetectPeaks:
 
     def test_window_shorter_than_baseline(self):
         s = series_of(np.ones(8), first_year=1900)
-        with pytest.raises(ParameterError):
+        with pytest.raises(SampleSizeError):
             cg.detect_peaks(s, window=(1900, 1907), baseline_window=11)
 
     def test_deterministic(self):
@@ -449,7 +469,7 @@ class TestDetectPeaksOracle:
         years, vals = s.birth_years[keep], s.values[keep]
         width = 2 * half_width + 1
         if years.size < width:
-            with pytest.raises(ParameterError):
+            with pytest.raises(SampleSizeError):
                 cg.detect_peaks(s, window, width, threshold_ratio)
             return
         report = cg.detect_peaks(s, window, width, threshold_ratio)

@@ -437,6 +437,27 @@ class TestPlot:
                   if el.get("text-anchor") == "middle" and el.get("font-size") == "11"]
         assert labels == [str(y) for y in range(1950, last_year + 1)]
 
+    @pytest.mark.parametrize("option", [("--baseline-window", "4"),
+                                        ("--threshold", "0"),
+                                        ("--threshold", "nan")])
+    def test_malformed_peak_option_exit_4_as_gaps(self, option, ridge_csv, series_csv,
+                                                  capsys):
+        assert run("gaps", str(ridge_csv), "--input-format", "csv",
+                   "--first-year", "1900", "--first-age", "0", *option) == 4
+        gaps_err = capsys.readouterr().err
+        assert gaps_err.startswith("analytics error: ")
+        assert run("plot", str(series_csv), *option) == 4
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", gaps_err)
+
+    def test_series_shorter_than_baseline_charts_without_peaks(self, tmp_path,
+                                                               capsys):
+        path = tmp_path / "two.csv"
+        path.write_text("birth_year,cei,point_count\n1950,1.0,3\n1951,2.0,3\n")
+        assert run("plot", str(path), "--window", "1950:1951") == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and "<polyline" in captured.out
+
     def test_no_peaks_flag(self, series_csv, tmp_path):
         out = tmp_path / "chart3.svg"
         assert run("plot", str(series_csv), "--no-peaks", "--no-window",

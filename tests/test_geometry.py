@@ -691,6 +691,29 @@ def test_prepare_grid_shares_the_surface_rates():
     assert peak < 2e6
 
 
+class TestFieldStorage:
+    def test_arrays_are_read_only_views(self):
+        field = cg.compute_geometry_field(make_surface(blocked_case("holes")))
+        for name in ("years", "ages") + FIELD_ARRAYS:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(field, name)[1] = 0
+
+    def test_hand_built_field_shares_the_callers_arrays(self):
+        ny, nx = 3, 4
+        arrays = {"years": np.arange(ny, dtype=float),
+                  "ages": np.arange(nx, dtype=float),
+                  "valid": np.zeros((ny, nx), dtype=bool),
+                  "tangents": np.zeros((ny, nx, 4, 3)),
+                  "curvature_vectors": np.zeros((ny, nx, 4, 3)),
+                  "normals": np.zeros((ny, nx, 3)),
+                  "normal_curvatures": np.zeros((ny, nx, 4))}
+        field = geometry.GeometryField(options=GeometryOptions(), **arrays)
+        for name, arr in arrays.items():
+            assert arr.flags.writeable
+            assert np.shares_memory(getattr(field, name), arr)
+            assert not getattr(field, name).flags.writeable
+
+
 HUGE_CELL_BLOCKS = (400 * 120 + 1, 32768, 5 * 120)  # whole grid, two blocks, five rows
 
 

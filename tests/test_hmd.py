@@ -341,6 +341,12 @@ class TestAccounting:
         assert result.skipped_blank_lines == 2
         assert result.data_row_count == 1
 
+    def test_surfaces_cannot_be_replaced(self, small_hmd_text):
+        result = parse_hmd(small_hmd_text)
+        with pytest.raises(TypeError):
+            result.surfaces[Sex.MALE] = result.female
+        assert result.male.sex is Sex.MALE
+
     def test_every_cell_captured(self, small_hmd_text):
         result = parse_hmd(small_hmd_text)
         for surface in result.surfaces.values():

@@ -206,3 +206,31 @@ class TestBlasThreads:
     def test_numpy_loaded_first_is_left_alone(self):
         numpy_count, _ = threads_after("import numpy")
         assert threads_after("import numpy; import cohortgeo") == (numpy_count, True)
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(n):
+    assert n < 10
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_failing_property_test_does_not_abort_the_run(tmp_path):
+    # Reporting a falsifying example imports libcst, whose deprecation
+    # warning must not turn into an INTERNALERROR under the repo's settings.
+    (tmp_path / "test_property.py").write_text(FAILING_PROPERTY)
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(pyproject), str(tmp_path / "test_property.py")],
+        capture_output=True, text=True, cwd=tmp_path, env=package_env())
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "Falsifying example" in proc.stdout
+    assert "1 failed, 1 passed" in proc.stdout

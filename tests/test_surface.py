@@ -151,6 +151,13 @@ class TestConstruction:
         assert s != make_surface([[0.0, np.nan]])
         assert s != "surface"
 
+    def test_years_or_sex_alone_break_equality(self):
+        s = make_surface([[0.1, 0.2], [0.3, 0.4]])
+        assert s == make_surface(s.rates)
+        assert s != make_surface(s.rates, first_year=2001)
+        assert s != make_surface(s.rates, sex=Sex.MALE)
+        assert s != s.to_grid()
+
     def test_keyerror_outside_grid(self):
         s = make_surface([[0.1, 0.2], [0.3, 0.4]])
         with pytest.raises(KeyError):
