@@ -30,25 +30,17 @@ from .errors import (
     EmptySeriesError,
     ParameterError,
     SampleSizeError,
+    StructuralError,
     UndefinedAiceError,
 )
 from .geometry import COHORT, CROSS, GeometryField
-from .surface import MortalitySurface, Sex, _content_eq, _store_read_only
+from .surface import (MortalitySurface, Sex, _as_contiguous_int_axis,
+                      _as_int64_array, _content_eq, _store_read_only)
 
 DEFAULT_TRIM_YEAR = 1970
 DEFAULT_WINDOW = (1922, 1970)
 DEFAULT_BASELINE_WINDOW = 11
 DEFAULT_THRESHOLD_RATIO = 1.25
-
-
-def _integer_array(values, name: str) -> np.ndarray:
-    """``values`` as an int array; fractions and values beyond int64 raise."""
-    arr = np.asarray(values)
-    if arr.dtype.kind not in "ib":
-        f = arr.astype(float)
-        if not np.all((f == np.round(f)) & (np.abs(f) < 2.0**63)):
-            raise ValueError(f"{name} must be integers within the 64-bit range")
-    return arr.astype(int, copy=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,10 +50,12 @@ class CEISeries:
     ``values[k]`` is the index for cohort ``birth_years[k]``;
     ``point_counts[k]`` is how many valid grid points contributed. Cohorts
     whose points are all invalid or on the border carry value 0 and count 0.
+    Birth years pass the surface's integer-axis rule (int64, step 1, within
+    +-2**53) and any invalid series raises :class:`StructuralError`.
     Construction stores read-only views, as :class:`MortalitySurface` does:
     a write through the series raises ``ValueError``, and the arrays passed
-    in keep their own flags. The views are not copies, so a caller who
-    keeps a writeable reference to an array passed in must not change it.
+    in keep their own flags. The ``values`` view is not a copy, so a caller
+    who keeps a writeable reference to it must not change it.
     """
 
     birth_years: np.ndarray
@@ -72,21 +66,17 @@ class CEISeries:
     options_label: str = ""
 
     def __post_init__(self) -> None:
-        years = _integer_array(self.birth_years, "birth_years")
+        years = _as_contiguous_int_axis(self.birth_years, "birth_years")
         values = np.asarray(self.values, dtype=float)
-        counts = _integer_array(self.point_counts, "point_counts")
-        if years.ndim != 1 or years.size == 0:
-            raise ValueError("series must contain at least one birth year")
+        counts = _as_int64_array(self.point_counts, "point_counts")
         if not (values.shape == years.shape and counts.shape == years.shape):
-            raise ValueError("birth_years, values, point_counts must align")
-        if years.size > 1 and not np.all(np.diff(years) == 1):
-            raise ValueError("birth years must be contiguous")
+            raise StructuralError("birth_years, values, point_counts must align")
         if np.any(~np.isfinite(values)) or np.any(values < 0):
-            raise ValueError("cohort index values must be finite and >= 0")
+            raise StructuralError("cohort index values must be finite and >= 0")
         if np.any(counts < 0):
-            raise ValueError("point counts must be >= 0")
+            raise StructuralError("point counts must be >= 0")
         if np.any(values[counts == 0] != 0.0):
-            raise ValueError("cohorts with zero points must have zero value")
+            raise StructuralError("cohorts with zero points must have zero value")
         _store_read_only(self, birth_years=years, values=values, point_counts=counts)
 
     def __len__(self) -> int:
@@ -123,26 +113,23 @@ class CEISeries:
     def from_csv(cls, text: str, sex: Sex | None = None,
                  source_label: str = "", options_label: str = "") -> "CEISeries":
         try:
-            rows = [r for r in csv.reader(io.StringIO(text)) if r]
+            rows = [(n, r) for n, r in enumerate(csv.reader(io.StringIO(text)), 1) if r]
         except csv.Error as exc:
             raise ValueError(f"malformed series CSV: {exc}") from None
-        if not rows or [c.strip() for c in rows[0]] != ["birth_year", "cei", "point_count"]:
+        if not rows or [c.strip() for c in rows[0][1]] != ["birth_year", "cei", "point_count"]:
             raise ValueError("expected header 'birth_year,cei,point_count'")
         years, values, counts = [], [], []
-        for r in rows[1:]:
+        for n, r in rows[1:]:
             if len(r) != 3:
                 raise ValueError(f"expected 3 columns, got {len(r)}: {r!r}")
-            years.append(int(r[0]))
-            values.append(float(r[1]))
-            counts.append(int(r[2]))
-        try:
-            years, counts = np.array(years, dtype=int), np.array(counts, dtype=int)
-        except OverflowError:
-            raise ValueError("malformed series CSV: birth_year or point_count "
-                             "outside the 64-bit integer range") from None
-        return cls(birth_years=years, values=np.array(values, dtype=float),
-                   point_counts=counts, sex=sex, source_label=source_label,
-                   options_label=options_label)
+            try:
+                years.append(int(r[0]))
+                values.append(float(r[1]))
+                counts.append(int(r[2]))
+            except ValueError as exc:
+                raise ValueError(f"malformed series CSV: row {n}: {exc}") from None
+        return cls(birth_years=years, values=values, point_counts=counts, sex=sex,
+                   source_label=source_label, options_label=options_label)
 
     def to_json(self) -> str:
         obj = {

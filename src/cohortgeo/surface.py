@@ -39,23 +39,31 @@ class Sex(str, Enum):
     TOTAL = "total"
 
 
-def _as_contiguous_int_axis(values: Iterable[int], what: str) -> np.ndarray:
-    arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values)
+def _as_int64_array(values: Iterable[int], what: str) -> np.ndarray:
+    """``values`` as a nonempty 1-D int64 array, or :class:`StructuralError`."""
+    if isinstance(values, Iterable) and not isinstance(values, np.ndarray):
+        values = list(values)  # generators and other one-pass iterables
+    arr = np.asarray(values)
     if arr.ndim != 1 or arr.size == 0:
         raise StructuralError(f"{what} must be a nonempty 1-D sequence")
     if arr.dtype.kind != "i":
-        # Floats, unsigned ints and Python ints beyond 64 bits (object arrays).
+        # Floats, bools, unsigned ints and Python ints beyond 64 bits (object arrays).
         items = arr.tolist()
         if not all(isinstance(v, numbers.Integral)
                    or (isinstance(v, float) and v.is_integer()) for v in items):
             raise StructuralError(f"{what} must be integers")
         if not all(-2**63 <= v < 2**63 for v in items):
             raise StructuralError(f"{what} must fit in a 64-bit integer")
-    arr = arr.astype(np.int64)
+    return arr.astype(np.int64)
+
+
+def _as_contiguous_int_axis(values: Iterable[int], what: str) -> np.ndarray:
+    """The one integer-axis rule: int64, step 1, within +-2**53."""
+    arr = _as_int64_array(values, what)
     # The last test catches steps of 1 that wrapped around the int64 range.
     if arr.size > 1 and not (np.all(np.diff(arr) == 1) and arr[-1] > arr[0]):
         raise StructuralError(f"{what} must be strictly increasing with step 1")
-    # to_grid converts axes to float64, which holds every integer up to 2**53.
+    # Axes become float64 (to_grid, charts), which holds every integer up to 2**53.
     if arr[0] < -2**53 or arr[-1] > 2**53:
         raise StructuralError(f"{what} must not exceed 2**53 in magnitude "
                               "(the exact integer range of a float)")

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import cohortgeo
+from cohortgeo import smooth
 
 # Preferred filename prefixes per country; first match wins.
 HMD_COUNTRY_PATTERNS = {
@@ -82,6 +83,43 @@ def dense_hmd_rows(years, ages, rate_fn):
             f, m, t = (rate_fn(year, age, k) for k in range(3))
             rows.append((year, age, f, m, t))
     return rows
+
+
+# The rate model of the benchmark's seeded HMD files, so that tests need not
+# import the bench: Gompertz rates per sex (female, male, total: base rate,
+# age slope, improvement), log-normal jitter whose spread is that of Poisson
+# death counts from a period life table, and a ridge on one birth cohort.
+PLANTED_SEX_PARAMS = ((6e-5, 0.092, 0.011), (1.2e-4, 0.087, 0.009),
+                      (9e-5, 0.089, 0.010))
+PLANTED_N_AGES = 111  # ages 0..110, the last one written as 110+
+PLANTED_RADIX = 1_000_000  # exposure at age 0; deaths = rate * exposure
+PLANTED_MAX_SIGMA = 0.3  # cap on the log-scale noise where exposure vanishes
+PLANTED_RIDGE_WIDTH = 1.5  # exp(-(c - cohort)^2 / width), c = year - age
+
+
+def planted_hmd_text(seed: int, amplitude: float, ridge_cohort: int = 1930,
+                     first_year: int = 1900, n_years: int = 110) -> str:
+    """Seeded HMD Mx 1x1 text, ages 0..110+, with a ridge of relative height
+    ``amplitude`` on birth cohort ``ridge_cohort``."""
+    rng = np.random.default_rng(seed)
+    years = np.arange(first_year, first_year + n_years)
+    ages = np.arange(PLANTED_N_AGES)
+    domain = ((years[0] - 1.0, years[-1] + 1.0), (-1.0, PLANTED_N_AGES + 0.0))
+    cohorts = years[:, None] - ages[None, :]
+    ridge = 1.0 + amplitude * np.exp(-((cohorts - ridge_cohort) ** 2)
+                                     / PLANTED_RIDGE_WIDTH)
+    columns = []
+    for base, slope, improvement in PLANTED_SEX_PARAMS:
+        surf = smooth.gompertz_surface(base_rate=base, age_slope=slope,
+                                       improvement=improvement, domain=domain)
+        z = surf.f(years.astype(float)[:, None], ages.astype(float)[None, :])
+        survivors = PLANTED_RADIX * np.exp(-np.cumsum(z, axis=1) + z)
+        sigma = np.minimum(PLANTED_MAX_SIGMA, 1.0 / np.sqrt(z * survivors))
+        columns.append(z * np.exp(rng.normal(0.0, 1.0, z.shape) * sigma) * ridge)
+    rows = [(year, f"{age}+" if age == PLANTED_N_AGES - 1 else str(age),
+             *(f"{c[i, age]:.6f}" for c in columns))
+            for i, year in enumerate(years.tolist()) for age in ages.tolist()]
+    return make_hmd_text(rows)
 
 
 @pytest.fixture

@@ -2,19 +2,23 @@
 
 Criteria 5-8 need real HMD country files (license-gated, not bundled) and
 skip with download instructions when the files are absent. Everything else
-runs on synthetic surfaces with analytically known answers.
+runs on synthetic surfaces with analytically known answers, and a seeded
+panel of HMD-shaped files stands in for criterion 06's AICE ordering.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import time
 from contextlib import contextmanager
 
 import numpy as np
+import pytest
 
 from cohortgeo import smooth
 from cohortgeo.analytics import (
+    DEFAULT_WINDOW,
     CEISeries,
     aice,
     cei_series,
@@ -31,6 +35,7 @@ from conftest import (
     dense_hmd_rows,
     find_hmd_file,
     make_hmd_text,
+    planted_hmd_text,
     require_hmd_file,
 )
 
@@ -170,6 +175,25 @@ def test_acceptance_06_country_ordering_and_scale():
         assert abs(a["UK"] - 0.6177) <= 0.15, a["UK"]
         for country, report in reports.items():
             assert 5e-5 / 3 <= report.mean <= 8e-5 * 3, (country, report.mean)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_planted_panel_aice_follows_ridge_amplitude(seed, tmp_path, capsys):
+    """Criterion 06's cross-country comparison on four seeded HMD-shaped
+    files that differ only in the height of a ridge on cohort 1930."""
+    aices = []
+    for amplitude in (0.05, 0.15, 0.3, 0.5):
+        path = tmp_path / f"ridge{amplitude}.Mx_1x1.txt"
+        path.write_text(planted_hmd_text(seed, amplitude))
+        assert cli_main(["aice", str(path), "--format", "json"]) == 0
+        aices.append(json.loads(capsys.readouterr().out)["aice"])
+        assert cli_main(["cei", str(path)]) == 0
+        series = CEISeries.from_csv(capsys.readouterr().out)
+        inside = ((series.birth_years >= DEFAULT_WINDOW[0])
+                  & (series.birth_years <= DEFAULT_WINDOW[1]))
+        top = series.birth_years[inside][np.argmax(series.values[inside])]
+        assert top == 1930, (amplitude, top)
+    assert all(a < b for a, b in zip(aices, aices[1:])), aices
 
 
 def test_acceptance_07_uk_generation_gaps():

@@ -21,6 +21,7 @@ from cohortgeo import (
     Peak,
     SampleSizeError,
     Sex,
+    StructuralError,
     SurfaceGrid,
     UndefinedAiceError,
     render_series_chart,
@@ -43,16 +44,23 @@ def series_of(values, first_year=1900, counts=None, **kwargs) -> CEISeries:
     )
 
 
+# Integers near 0 and near the float-exact and int64 limits, +-2**53 and +-2**63.
+_EDGE_INTS = st.one_of(*(st.integers(c - 3, c + 3)
+                         for c in (0, 2**53, -2**53, 2**63, -2**63)))
+
+
 class TestCEISeriesType:
     def test_validation(self):
-        with pytest.raises(ValueError, match="contiguous"):
+        with pytest.raises(StructuralError,
+                           match="birth_years must be strictly increasing with step 1"):
             CEISeries(birth_years=np.array([1900, 1902]),
                       values=np.zeros(2), point_counts=np.zeros(2, dtype=int))
-        with pytest.raises(ValueError, match=">= 0"):
+        with pytest.raises(StructuralError, match=">= 0"):
             series_of([-1.0, 2.0])
-        with pytest.raises(ValueError, match="zero value"):
+        with pytest.raises(StructuralError, match="zero value"):
             series_of([1.0, 2.0], counts=[0, 1])
-        with pytest.raises(ValueError):
+        with pytest.raises(StructuralError,
+                           match="birth_years must be a nonempty 1-D sequence"):
             series_of([])
 
     def test_lookup_and_iteration(self):
@@ -63,16 +71,17 @@ class TestCEISeriesType:
         with pytest.raises(KeyError):
             s.value_at(1900)
 
-    @pytest.mark.parametrize("years, counts", [
-        ([1950.5, 1951.5], [1, 2]),
-        ([1950, 1951], [1.7, 2.2]),
-        ([1950.0, np.nan], [1, 1]),
-        ([1950, 1951], [1.0, np.inf]),
-        ([10**20, 10**20 + 1], [1, 1]),
-        (np.array([2**64 - 2, 2**64 - 1], dtype=np.uint64), [1, 1]),
-    ])
-    def test_non_integral_axes_rejected(self, years, counts):
-        with pytest.raises(ValueError, match="must be integers"):
+    @pytest.mark.parametrize("years, counts, message", [
+        ([1950.5, 1951.5], [1, 2], "birth_years must be integers"),
+        ([1950, 1951], [1.7, 2.2], "point_counts must be integers"),
+        ([1950.0, np.nan], [1, 1], "birth_years must be integers"),
+        ([1950, 1951], [1.0, np.inf], "point_counts must be integers"),
+        ([10**20, 10**20 + 1], [1, 1], "birth_years must fit in a 64-bit integer"),
+        (np.array([2**64 - 2, 2**64 - 1], dtype=np.uint64), [1, 1],
+         "birth_years must fit in a 64-bit integer"),
+    ], ids=[f"years{k}-counts{k}" for k in range(6)])
+    def test_non_integral_axes_rejected(self, years, counts, message):
+        with pytest.raises(StructuralError, match=message):
             CEISeries(birth_years=years, values=[1.0, 2.0], point_counts=counts)
 
     def test_integral_float_axes_accepted(self):
@@ -80,11 +89,29 @@ class TestCEISeriesType:
                       point_counts=[1.0, 2.0])
         assert list(s) == [(1950, 1.0, 1), (1951, 2.0, 2)]
 
-    @pytest.mark.parametrize("row", ["100000000000000000000,1.0,1",
-                                     "1950,1.0,100000000000000000000"])
-    def test_from_csv_beyond_int64_is_value_error(self, row):
-        with pytest.raises(ValueError, match="malformed series CSV: .*64-bit"):
+    @pytest.mark.parametrize("row, message", [
+        pytest.param("100000000000000000000,1.0,1",
+                     "birth_years must fit in a 64-bit integer",
+                     id="100000000000000000000,1.0,1"),
+        pytest.param("1950,1.0,100000000000000000000",
+                     "point_counts must fit in a 64-bit integer",
+                     id="1950,1.0,100000000000000000000"),
+    ])
+    def test_from_csv_beyond_int64(self, row, message):
+        with pytest.raises(StructuralError, match=message):
             CEISeries.from_csv("birth_year,cei,point_count\n" + row + "\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("1900.0,1.0,1\n", "row 2: invalid literal for int() with base 10: '1900.0'"),
+        ("1900,1.0,1\n\nTrue,1.0,1\n",
+         "row 4: invalid literal for int() with base 10: 'True'"),
+        ("1900,x,1\n", "row 2: could not convert string to float: 'x'"),
+        ("1900,1.0,1.5\n", "row 2: invalid literal for int() with base 10: '1.5'"),
+    ], ids=["float-year", "bool-year-after-blank", "word-value", "float-count"])
+    def test_from_csv_bad_number_names_its_row(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            CEISeries.from_csv("birth_year,cei,point_count\n" + text)
+        assert str(exc.value) == "malformed series CSV: " + message
 
     def test_csv_round_trip(self):
         s = series_of([0.1 + 0.2, 0.0, 7e-17], counts=[3, 0, 1],
@@ -138,6 +165,41 @@ class TestCEISeriesType:
         assert s != s.to_csv()
         assert s != list(s)
         assert s.__eq__(object()) is NotImplemented
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.lists(st.one_of(_EDGE_INTS, _EDGE_INTS.map(float), st.booleans()),
+                 max_size=4),
+        st.tuples(_EDGE_INTS, st.integers(1, 4)).map(
+            lambda p: list(range(p[0], p[0] + p[1])))))
+    def test_birth_years_follow_the_surface_axis_rule(self, years):
+        n = len(years)
+
+        def rejection(build):
+            try:
+                return build()
+            except StructuralError as exc:
+                return str(exc)
+
+        series = rejection(lambda: CEISeries(birth_years=years, values=np.ones(n),
+                                             point_counts=np.ones(n, dtype=int)))
+        surface = rejection(lambda: cg.MortalitySurface(years=years, ages=[0],
+                                                        rates=np.ones((n, 1))))
+        if isinstance(surface, str):
+            assert series == "birth_" + surface
+        else:
+            assert np.array_equal(series.birth_years, surface.years)
+            assert series.birth_years.dtype == surface.years.dtype
+
+    def test_scalar_axes_rejected_like_empty_ones(self):
+        with pytest.raises(StructuralError,
+                           match="^birth_years must be a nonempty 1-D sequence$"):
+            CEISeries(birth_years=1950, values=1.0, point_counts=1)
+        with pytest.raises(StructuralError,
+                           match="^point_counts must be a nonempty 1-D sequence$"):
+            CEISeries(birth_years=[1950], values=[1.0], point_counts=1)
+        with pytest.raises(StructuralError, match="^years must be a nonempty 1-D sequence$"):
+            cg.MortalitySurface(years=1900, ages=[0], rates=[[1.0]])
 
     def test_json_structure(self):
         s = series_of([1.0, 2.0], sex=Sex.TOTAL, source_label="lbl")

@@ -398,6 +398,21 @@ class TestPlot:
         assert len(_ticks(2.0**51, 2.0**51 + 1, 8)) <= 10
         assert run("plot", str(path), "-o", str(tmp_path / "far.svg")) == 0
 
+    @pytest.mark.parametrize("years, message", [
+        ((2**63 - 1, -2**63), "birth_years must be strictly increasing with step 1"),
+        ((2**53 + 1, 2**53 + 2), "birth_years must not exceed 2**53 in magnitude "
+                                 "(the exact integer range of a float)"),
+    ], ids=["wrapped-int64", "past-2-to-53"])
+    def test_birth_years_unfit_for_a_float_axis_exit_2(self, years, message,
+                                                        tmp_path, capsys):
+        # the chart draws birth years as floats, like the kernel's axes
+        path = tmp_path / "far.csv"
+        path.write_text("birth_year,cei,point_count\n"
+                        + "".join(f"{y},1.0,1\n" for y in years))
+        assert run("plot", str(path), "-o", str(tmp_path / "far.svg")) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "far.svg").exists()
+
     def test_tiny_value_ticks_stay_apart(self, ridge_csv, capsys):
         assert _ticks(0.0, 3.3e-12, 5) == [0.0, 1e-12, 2e-12, 3e-12]
         assert run("cei", str(ridge_csv), "--input-format", "csv",
@@ -416,13 +431,19 @@ class TestPlot:
         path.write_text("birth_year,cei,point_count\n1950,1e308,1\n1951,1.75e308,1\n")
         assert run("plot", str(path), "-o", str(tmp_path / "big.svg")) == 0
 
-    @pytest.mark.parametrize("row", ["100000000000000000000,1.0,1",
-                                     "1950,1.0,100000000000000000000"])
-    def test_series_beyond_int64_exit_2(self, row, tmp_path, capsys):
+    @pytest.mark.parametrize("row, message", [
+        pytest.param("100000000000000000000,1.0,1",
+                     "error: birth_years must fit in a 64-bit integer\n",
+                     id="100000000000000000000,1.0,1"),
+        pytest.param("1950,1.0,100000000000000000000",
+                     "error: point_counts must fit in a 64-bit integer\n",
+                     id="1950,1.0,100000000000000000000"),
+    ])
+    def test_series_beyond_int64_exit_2(self, row, message, tmp_path, capsys):
         path = tmp_path / "big.csv"
         path.write_text("birth_year,cei,point_count\n" + row + "\n")
         assert run("plot", str(path)) == 2
-        assert capsys.readouterr().err.startswith("error: malformed series CSV")
+        assert capsys.readouterr().err == message
 
     @pytest.mark.parametrize("last_year", [1950, 1951, 1952])
     def test_short_series_year_ticks_whole_and_distinct(self, last_year, tmp_path,

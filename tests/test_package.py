@@ -6,6 +6,8 @@ import ast
 import dataclasses
 import importlib.util
 import os
+import re
+import shlex
 import subprocess
 import sys
 import types
@@ -15,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import cohortgeo
+from cohortgeo.cli import main
 from conftest import package_env
 
 # The pipeline, its types and its errors. The analytic oracle is reached as
@@ -234,3 +237,31 @@ def test_failing_property_test_does_not_abort_the_run(tmp_path):
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
     assert "Falsifying example" in proc.stdout
     assert "1 failed, 1 passed" in proc.stdout
+
+
+def readme_blocks(section: str, language: str) -> list[str]:
+    """The ``language`` code blocks under the README heading ``## section``."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    body = text.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(rf"```{language}\n(.*?)```", body, flags=re.S)
+
+
+def test_readme_examples_run(tmp_path, monkeypatch):
+    # Examples on HMD files (license-gated, not bundled) are skipped by name.
+    monkeypatch.chdir(tmp_path)
+    (commands,) = readme_blocks("Command line", "sh")
+    ran = []
+    for line in commands.replace("\\\n", " ").splitlines():
+        argv = shlex.split(line, comments=True)
+        if argv[:1] != ["cohortgeo"] or any("Mx_1x1" in a for a in argv):
+            continue
+        assert main(argv[1:]) == 0, line
+        if "-o" in argv:
+            assert (tmp_path / argv[argv.index("-o") + 1]).is_file(), line
+        ran.append(argv[1])
+    assert ran == ["synthetic", "cei", "plot"]
+    snippets = [b for b in readme_blocks("Library", "python") if "Mx_1x1" not in b]
+    assert [b.split("\n", 1)[0] for b in snippets] == [
+        "from cohortgeo import smooth", "from cohortgeo import geometry"]
+    for block in snippets:
+        exec(compile(block, "README.md", "exec"), {})
