@@ -96,12 +96,6 @@ class CEISeries:
     def last_year(self) -> int:
         return int(self.birth_years[-1])
 
-    def value_at(self, birth_year: int) -> float:
-        k = int(birth_year) - self.first_year
-        if not 0 <= k < len(self):
-            raise KeyError(f"birth year {birth_year} not in series")
-        return float(self.values[k])
-
     def to_csv(self) -> str:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
@@ -121,7 +115,8 @@ class CEISeries:
         years, values, counts = [], [], []
         for n, r in rows[1:]:
             if len(r) != 3:
-                raise ValueError(f"expected 3 columns, got {len(r)}: {r!r}")
+                raise ValueError(f"malformed series CSV: row {n}: "
+                                 f"expected 3 columns, got {len(r)}: {r!r}")
             try:
                 years.append(int(r[0]))
                 values.append(float(r[1]))
@@ -374,10 +369,6 @@ class UShapeReport:
     n_points: int
     slope: float | None
     drop_start_year: int | None
-
-    @property
-    def positive_trend(self) -> bool:
-        return self.slope is not None and self.slope > 0
 
 
 def u_shape_diagnostic(series: CEISeries,

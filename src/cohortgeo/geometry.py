@@ -47,11 +47,11 @@ All functions are pure. :func:`compute_geometry_field` is a vectorized map
 over independent grid points, run in cache-sized blocks of interior rows.
 Each block builds its points from the grid's rows plus one halo row above
 and below and writes straight into its rows of the result, so besides the
-result no scratch array grows with the grid. Blocks run on a thread pool
-only when the grid has more than ``_SERIAL_POINTS`` points (no HMD table
-does); since every point sees the same arithmetic, the result is
-bit-identical to a single pass over the whole grid whatever the block
-height or scheduling.
+result no scratch array grows with the grid; the tangents and curvature
+vectors exist only per block. Blocks run on a thread pool only when the
+grid has more than ``_SERIAL_POINTS`` points (no HMD table does); since
+every point sees the same arithmetic, the result is bit-identical to a
+single pass over the whole grid whatever the block height or scheduling.
 """
 
 from __future__ import annotations
@@ -251,12 +251,21 @@ def prepare_grid(surface: MortalitySurface | SurfaceGrid,
 
 @dataclass(frozen=True, eq=False)
 class GeometryField:
-    """Per-grid-point tangents, curvature vectors, normal, normal curvatures.
+    """Per-grid-point validity, unit normal and normal curvatures.
 
     Arrays are full grid size; border points and points rejected by the
     kernel have ``valid == False`` and all-zero fields. Direction index
     order is ``(cohort, cross, period, age)``. Like :class:`SurfaceGrid`,
     it stores read-only views of the arrays passed in, not copies.
+
+    Only ``valid``, ``normals`` and ``normal_curvatures`` are stored per
+    point: 1 + 24 + 32 = 57 bytes. The field also keeps the ``grid`` the
+    kernel ran on, which with default options shares the surface's arrays.
+    :attr:`tangents` and :attr:`curvature_vectors`, the kernel's
+    intermediate steps, are recomputed from that grid on every read: each
+    read costs one kernel pass and returns a new ``(ny, nx, 4, 3)`` array
+    (96 bytes per point). A field built by hand with ``grid=None`` has
+    neither.
 
     :meth:`to_csv` and :meth:`to_json` export the coordinates, validity,
     normals and normal curvatures. They format in bulk, a block of grid
@@ -269,15 +278,36 @@ class GeometryField:
     years: np.ndarray                 # t coordinates, shape (ny,)
     ages: np.ndarray                  # x coordinates, shape (nx,)
     valid: np.ndarray                 # (ny, nx) bool
-    tangents: np.ndarray              # (ny, nx, 4, 3) unit tangents
-    curvature_vectors: np.ndarray     # (ny, nx, 4, 3)
     normals: np.ndarray               # (ny, nx, 3) unit normals
     normal_curvatures: np.ndarray     # (ny, nx, 4) signed
     options: GeometryOptions
+    grid: SurfaceGrid | None = None   # the kernel's input, after prepare_grid
 
     def __post_init__(self) -> None:
         _store_read_only(self, **{f.name: getattr(self, f.name) for f in fields(self)
-                                  if f.name != "options"})
+                                  if f.name not in ("options", "grid")})
+
+    @property
+    def tangents(self) -> np.ndarray:
+        """``(ny, nx, 4, 3)`` unit tangents, one kernel pass per read."""
+        return self._stencil_vectors()[0]
+
+    @property
+    def curvature_vectors(self) -> np.ndarray:
+        """``(ny, nx, 4, 3)`` curvature vectors, one kernel pass per read."""
+        return self._stencil_vectors()[1]
+
+    def _stencil_vectors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only tangents and curvature vectors from one kernel pass."""
+        if self.grid is None:
+            raise ValueError("a field built without its grid has no tangents "
+                             "or curvature vectors")
+        vectors = (np.zeros(self.valid.shape + (4, 3)),
+                   np.zeros(self.valid.shape + (4, 3)))
+        _run_kernel(self.grid, vectors)
+        for a in vectors:
+            a.flags.writeable = False
+        return vectors
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -405,14 +435,16 @@ def compute_point_geometry(grid: SurfaceGrid, i: int, j: int):
     return tangents, cvs, normal, ncs
 
 
-def _kernel_rows(grid: SurfaceGrid, rows: slice,
-                 out: tuple[np.ndarray, ...]) -> None:
+def _kernel_rows(grid: SurfaceGrid, rows: slice, out: tuple[np.ndarray, ...],
+                 sink: tuple[np.ndarray, np.ndarray] | None) -> None:
     """Kernel over the interior ``rows``, reading one halo row each side.
 
     Builds the block's ``(h+2, nx, 3)`` point slab from ``grid``'s rows.
-    ``out`` is ``(valid, tangents, curvature_vectors, normals,
-    normal_curvatures)``, full-grid with zero border rows and columns.
-    Applies the validity rule under one ``errstate`` that silences every
+    ``out`` is ``(valid, normals, normal_curvatures)``, full-grid with zero
+    border rows and columns. The unit tangents ``V`` and curvature vectors
+    ``CV`` are block temporaries; a full-grid ``sink = (tangents,
+    curvature_vectors)`` also receives them, zero where rejected. Applies
+    the validity rule under one ``errstate`` that silences every
     intermediate, writes straight into its own rows of ``out`` and then
     zeroes the rejected points there, so blocks may run concurrently. Same
     arithmetic as :func:`compute_point_geometry` at each valid point.
@@ -426,7 +458,9 @@ def _kernel_rows(grid: SurfaceGrid, rows: slice,
     P[..., 2] = grid.z[r0 - 1:r1 + 1]
     center = P[1:-1, 1:-1]
     valid = np.ones((h, nx - 2), dtype=bool)
-    valid_out, V, CV, n_out, NC_out = (a[rows, 1:-1] for a in out)
+    V = np.empty((h, nx - 2, 4, 3))
+    CV = np.empty((h, nx - 2, 4, 3))
+    valid_out, n_out, NC_out = (a[rows, 1:-1] for a in out)
     with np.errstate(all="ignore"):
         for k, ((di0, dj0), (di2, dj2)) in enumerate(_STENCIL_OFFSETS):
             q0 = P[1 + di0:h + 1 + di0, 1 + dj0:nx - 1 + dj0]
@@ -467,8 +501,12 @@ def _kernel_rows(grid: SurfaceGrid, rows: slice,
     n_out[...] = n
     NC_out[...] = NC
     rejected = ~valid
-    for a in (V, CV, n_out, NC_out):
+    for a in (n_out, NC_out):
         a[rejected] = 0.0
+    if sink is not None:
+        for vectors, dest in zip((V, CV), sink):
+            vectors[rejected] = 0.0
+            dest[rows, 1:-1] = vectors
 
 
 def _worker_count(n_blocks: int) -> int:
@@ -479,33 +517,22 @@ def _worker_count(n_blocks: int) -> int:
     return min(cpus, n_blocks)
 
 
-def compute_geometry_field(surface: MortalitySurface | SurfaceGrid,
-                           options: GeometryOptions | None = None) -> GeometryField:
-    """Run the kernel over every interior grid point.
-
-    Vectorized over points; identical arithmetic to
-    :func:`compute_point_geometry` at each valid point. Validity follows
-    the module's rule; no numpy warning is emitted, whatever the caller's
-    ``np.errstate``.
+def _run_kernel(grid: SurfaceGrid, sink: tuple[np.ndarray, np.ndarray] | None = None
+                ) -> tuple[np.ndarray, ...]:
+    """The block scheduler: ``(valid, normals, normal_curvatures)`` of
+    ``grid``, computed in row blocks; ``sink`` as for :func:`_kernel_rows`.
 
     Interior rows are processed in blocks of about ``_BLOCK_POINTS`` points,
     each built from the grid's rows plus one halo row above and below and
-    written straight into the field, so temporaries stay block-sized. A grid
-    of at most ``_SERIAL_POINTS`` points runs on the calling thread; larger
-    grids run their blocks on a thread pool with one worker per available
-    core. The map is pointwise, so the result is bit-identical to a single
-    pass.
+    written straight into the result, so temporaries stay block-sized. A
+    grid of at most ``_SERIAL_POINTS`` points runs on the calling thread;
+    larger grids run their blocks on a thread pool with one worker per
+    available core. The map is pointwise, so the result is bit-identical to
+    a single pass.
     """
-    options = options or GeometryOptions()
-    grid = prepare_grid(surface, options)
     ny, nx = grid.shape
-    if ny < 3 or nx < 3:
-        raise SurfaceSizeError(f"grid {ny}x{nx} is smaller than 3x3")
-
     out = (
         np.zeros((ny, nx), dtype=bool),
-        np.zeros((ny, nx, 4, 3)),
-        np.zeros((ny, nx, 4, 3)),
         np.zeros((ny, nx, 3)),
         np.zeros((ny, nx, 4)),
     )
@@ -513,22 +540,37 @@ def compute_geometry_field(surface: MortalitySurface | SurfaceGrid,
     workers = 1 if ny * nx <= _SERIAL_POINTS else _worker_count(len(blocks))
     if workers <= 1:
         for rows in blocks:
-            _kernel_rows(grid, rows, out)
+            _kernel_rows(grid, rows, out, sink)
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             # list() waits for every block and re-raises a block's error
-            list(pool.map(lambda rows: _kernel_rows(grid, rows, out), blocks))
+            list(pool.map(lambda rows: _kernel_rows(grid, rows, out, sink), blocks))
+    return out
 
-    valid, tangents, curvature_vectors, normals, normal_curvatures = out
+
+def compute_geometry_field(surface: MortalitySurface | SurfaceGrid,
+                           options: GeometryOptions | None = None) -> GeometryField:
+    """Run the kernel over every interior grid point.
+
+    Vectorized over points in row blocks (see :func:`_run_kernel`);
+    identical arithmetic to :func:`compute_point_geometry` at each valid
+    point. Validity follows the module's rule; no numpy warning is emitted,
+    whatever the caller's ``np.errstate``.
+    """
+    options = options or GeometryOptions()
+    grid = prepare_grid(surface, options)
+    ny, nx = grid.shape
+    if ny < 3 or nx < 3:
+        raise SurfaceSizeError(f"grid {ny}x{nx} is smaller than 3x3")
+    valid, normals, normal_curvatures = _run_kernel(grid)
     return GeometryField(
         years=grid.t,
         ages=grid.x,
         valid=valid,
-        tangents=tangents,
-        curvature_vectors=curvature_vectors,
         normals=normals,
         normal_curvatures=normal_curvatures,
         options=options,
+        grid=grid,
     )

@@ -48,14 +48,6 @@ class HmdParseResult:
     skipped_blank_lines: int
 
     @property
-    def female(self) -> MortalitySurface:
-        return self.surfaces[Sex.FEMALE]
-
-    @property
-    def male(self) -> MortalitySurface:
-        return self.surfaces[Sex.MALE]
-
-    @property
     def total(self) -> MortalitySurface:
         return self.surfaces[Sex.TOTAL]
 

@@ -47,13 +47,16 @@ def _as_int64_array(values: Iterable[int], what: str) -> np.ndarray:
     if arr.ndim != 1 or arr.size == 0:
         raise StructuralError(f"{what} must be a nonempty 1-D sequence")
     if arr.dtype.kind != "i":
-        # Floats, bools, unsigned ints and Python ints beyond 64 bits (object arrays).
-        items = arr.tolist()
+        # Floats, bools, unsigned ints and Python ints beyond 64 bits (object
+        # arrays). A list's own items are checked and converted, because
+        # numpy rounds a list mixing an int above 2**53 with a float.
+        items = values if isinstance(values, list) else arr.tolist()
         if not all(isinstance(v, numbers.Integral)
                    or (isinstance(v, float) and v.is_integer()) for v in items):
             raise StructuralError(f"{what} must be integers")
         if not all(-2**63 <= v < 2**63 for v in items):
             raise StructuralError(f"{what} must fit in a 64-bit integer")
+        return np.array([int(v) for v in items], dtype=np.int64)
     return arr.astype(np.int64)
 
 
@@ -180,22 +183,6 @@ class MortalitySurface:
     @property
     def missing_mask(self) -> np.ndarray:
         return np.isnan(self.rates)
-
-    @property
-    def n_years(self) -> int:
-        return int(self.years.size)
-
-    @property
-    def n_ages(self) -> int:
-        return int(self.ages.size)
-
-    def rate(self, year: int, age: int) -> float:
-        """Rate at (year, age); NaN if the cell is missing."""
-        i = int(year) - int(self.years[0])
-        j = int(age) - int(self.ages[0])
-        if not (0 <= i < self.n_years and 0 <= j < self.n_ages):
-            raise KeyError(f"({year}, {age}) outside grid")
-        return float(self.rates[i, j])
 
     def to_grid(self) -> SurfaceGrid:
         return SurfaceGrid(

@@ -212,7 +212,7 @@ def test_acceptance_08_u_shape_rise_and_terminal_drop():
             report = u_shape_diagnostic(series, 1970)
             assert report.slope is not None and report.slope > 0, country
             assert report.drop_start_year is not None, country
-            assert series.value_at(series.last_year) == 0.0, country
+            assert series.values[-1] == 0.0, country
 
 
 def test_acceptance_09_internal_consistency():

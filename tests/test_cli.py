@@ -445,6 +445,13 @@ class TestPlot:
         assert run("plot", str(path)) == 2
         assert capsys.readouterr().err == message
 
+    def test_series_short_row_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "short_row.csv"
+        path.write_text("birth_year,cei,point_count\n1900,1.0\n")
+        assert run("plot", str(path)) == 2
+        assert capsys.readouterr().err == ("error: malformed series CSV: row 2: "
+                                           "expected 3 columns, got 2: ['1900', '1.0']\n")
+
     @pytest.mark.parametrize("last_year", [1950, 1951, 1952])
     def test_short_series_year_ticks_whole_and_distinct(self, last_year, tmp_path,
                                                          capsys):

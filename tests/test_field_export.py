@@ -138,8 +138,6 @@ def hand_built_fields(draw) -> GeometryField:
         years=values(ny), ages=values(nx),
         valid=np.array(draw(st.lists(st.booleans(), min_size=ny * nx,
                                      max_size=ny * nx)), dtype=bool).reshape(ny, nx),
-        tangents=np.zeros((ny, nx, 4, 3)),
-        curvature_vectors=np.zeros((ny, nx, 4, 3)),
         normals=values(ny, nx, 3),
         normal_curvatures=values(ny, nx, 4),
         options=options,

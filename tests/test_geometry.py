@@ -389,14 +389,16 @@ class TestComputeGeometryField:
         field = cg.compute_geometry_field(surface)
         grid = cg.prepare_grid(surface, field.options)
         ny, nx = grid.shape
+        # each read of the tangents or curvature vectors runs the kernel
+        field_tangents, field_cvs = field._stencil_vectors()
         checked = 0
         for i in range(1, ny - 1):
             for j in range(1, nx - 1):
                 if not field.valid[i, j]:
                     continue
                 tangents, cvs, normal, ncs = cg.compute_point_geometry(grid, i, j)
-                assert np.abs(tangents - field.tangents[i, j]).max() < 1e-13
-                assert np.abs(cvs - field.curvature_vectors[i, j]).max() < 1e-13
+                assert np.abs(tangents - field_tangents[i, j]).max() < 1e-13
+                assert np.abs(cvs - field_cvs[i, j]).max() < 1e-13
                 assert np.abs(normal - field.normals[i, j]).max() < 1e-13
                 assert np.abs(ncs - field.normal_curvatures[i, j]).max() < 1e-13
                 checked += 1
@@ -464,6 +466,15 @@ class TestComputeGeometryField:
 
 FIELD_ARRAYS = ("valid", "tangents", "curvature_vectors", "normals",
                 "normal_curvatures")
+
+
+def field_arrays(field) -> dict[str, np.ndarray]:
+    """Every array of ``field``. The tangents and curvature vectors come from
+    one kernel pass, under the kernel settings in force at the call."""
+    tangents, curvature_vectors = field._stencil_vectors()
+    return {"valid": field.valid, "tangents": tangents,
+            "curvature_vectors": curvature_vectors, "normals": field.normals,
+            "normal_curvatures": field.normal_curvatures}
 
 
 def blocked_case(kind: str):
@@ -556,7 +567,8 @@ GOLDEN_DIGESTS = {
 
 
 def field_digests(field) -> tuple[str, ...]:
-    return tuple(hashlib.sha256(np.ascontiguousarray(getattr(field, name)).tobytes())
+    arrays = field_arrays(field)
+    return tuple(hashlib.sha256(np.ascontiguousarray(arrays[name]).tobytes())
                  .hexdigest() for name in FIELD_ARRAYS)
 
 
@@ -604,14 +616,13 @@ class TestRowBlocks:
         surface = make_surface(blocked_case(kind))
         ny, nx = surface.rates.shape
         monkeypatch.setattr(geometry, "_BLOCK_POINTS", ny * nx + 1)
-        whole = cg.compute_geometry_field(surface, options)
-        assert whole.valid.any()
+        whole = field_arrays(cg.compute_geometry_field(surface, options))
+        assert whole["valid"].any()
         for points in (nx, 5 * nx, 7 * nx + 3):
             monkeypatch.setattr(geometry, "_BLOCK_POINTS", points)
-            blocked = cg.compute_geometry_field(surface, options)
+            blocked = field_arrays(cg.compute_geometry_field(surface, options))
             for name in FIELD_ARRAYS:
-                assert np.array_equal(getattr(blocked, name),
-                                      getattr(whole, name)), (points, name)
+                assert np.array_equal(blocked[name], whole[name]), (points, name)
 
     def test_more_threads_than_cores(self, monkeypatch):
         # Blocks write disjoint slices of shared arrays; frequent thread
@@ -619,7 +630,7 @@ class TestRowBlocks:
         surface = make_surface(blocked_case("holes"))
         ny, nx = surface.rates.shape
         monkeypatch.setattr(geometry, "_BLOCK_POINTS", ny * nx + 1)
-        whole = cg.compute_geometry_field(surface)
+        whole = field_arrays(cg.compute_geometry_field(surface))
         monkeypatch.setattr(geometry, "_BLOCK_POINTS", nx)
         # the grid is small enough for the calling thread; force the pool
         monkeypatch.setattr(geometry, "_SERIAL_POINTS", 0)
@@ -628,13 +639,13 @@ class TestRowBlocks:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            blocked = cg.compute_geometry_field(surface)
+            blocked = field_arrays(cg.compute_geometry_field(surface))
         finally:
             sys.setswitchinterval(interval)
-        assert pools == [8]
+        # one pool per kernel pass: the field, then its tangents and curvature vectors
+        assert pools == [8, 8]
         assert threading.get_ident() not in threads
-        for name in FIELD_ARRAYS:
-            assert np.array_equal(getattr(blocked, name), getattr(whole, name)), name
+        assert_fields_equal(blocked, whole)
 
     def test_hmd_size_grid_starts_no_pool(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -652,18 +663,21 @@ class TestRowBlocks:
         # 256 x 128 is exactly geometry._SERIAL_POINTS
         surface = make_surface(hmd_like(ny, 128, 6, holes=20))
         monkeypatch.setattr(geometry, "_worker_count", lambda n_blocks: 1)
-        serial = cg.compute_geometry_field(surface)
+        serial = field_arrays(cg.compute_geometry_field(surface))
         monkeypatch.setattr(geometry, "_worker_count", lambda n_blocks: 2)
         started, threads = record_threads(monkeypatch)
-        assert_fields_equal(cg.compute_geometry_field(surface), serial)
+        field = cg.compute_geometry_field(surface)
         assert started == pools
         assert (threading.get_ident() in threads) == (not pools)
+        # read the on-demand arrays only after the pools were counted
+        assert_fields_equal(field_arrays(field), serial)
 
 
 def test_kernel_scratch_memory_stays_bounded(monkeypatch):
-    # numpy buffers are traced; besides the field, the kernel may hold only
-    # block-sized scratch (at most a few MB per worker), never whole-grid
-    # copies. Two workers, as on a 2-core machine.
+    # numpy buffers are traced; besides the field's 57 bytes per point, the
+    # kernel may hold only block-sized scratch (at most a few MB per worker),
+    # never whole-grid copies: 27.6 MB in all, where storing the tangents
+    # and curvature vectors took 82 MB. Two workers, as on a 2-core machine.
     monkeypatch.setattr(geometry, "_worker_count", lambda n_blocks: 2)
     surface = make_surface(hmd_like(600, 500, 5, holes=200))
     tracemalloc.start()
@@ -673,8 +687,10 @@ def test_kernel_scratch_memory_stays_bounded(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    field_bytes = sum(getattr(field, name).nbytes for name in FIELD_ARRAYS)
+    field_bytes = sum(getattr(field, name).nbytes
+                      for name in ("valid", "normals", "normal_curvatures"))
     assert peak - field_bytes < 16e6
+    assert peak < 32e6
 
 
 def test_prepare_grid_shares_the_surface_rates():
@@ -694,17 +710,27 @@ def test_prepare_grid_shares_the_surface_rates():
 class TestFieldStorage:
     def test_arrays_are_read_only_views(self):
         field = cg.compute_geometry_field(make_surface(blocked_case("holes")))
+        # tangents and curvature vectors are new arrays on each read, read-only too
         for name in ("years", "ages") + FIELD_ARRAYS:
             with pytest.raises(ValueError, match="read-only"):
                 getattr(field, name)[1] = 0
+
+    @pytest.mark.parametrize("options", [None, GeometryOptions(z_scale=37.0)])
+    def test_stores_57_bytes_per_point(self, options):
+        surface = make_surface(blocked_case("holes"))
+        field = cg.compute_geometry_field(surface, options)
+        ny, nx = field.shape
+        stored = [v for v in vars(field).values() if isinstance(v, np.ndarray)]
+        assert sum(a.nbytes for a in stored) == 57 * ny * nx + 8 * (ny + nx)
+        assert field.grid.shape == (ny, nx)
+        # with default options the kept grid is the surface's rates, not a copy
+        assert np.shares_memory(field.grid.z, surface.rates) == (options is None)
 
     def test_hand_built_field_shares_the_callers_arrays(self):
         ny, nx = 3, 4
         arrays = {"years": np.arange(ny, dtype=float),
                   "ages": np.arange(nx, dtype=float),
                   "valid": np.zeros((ny, nx), dtype=bool),
-                  "tangents": np.zeros((ny, nx, 4, 3)),
-                  "curvature_vectors": np.zeros((ny, nx, 4, 3)),
                   "normals": np.zeros((ny, nx, 3)),
                   "normal_curvatures": np.zeros((ny, nx, 4))}
         field = geometry.GeometryField(options=GeometryOptions(), **arrays)
@@ -712,28 +738,31 @@ class TestFieldStorage:
             assert arr.flags.writeable
             assert np.shares_memory(getattr(field, name), arr)
             assert not getattr(field, name).flags.writeable
+        with pytest.raises(ValueError, match="built without its grid"):
+            field.tangents
 
 
 HUGE_CELL_BLOCKS = (400 * 120 + 1, 32768, 5 * 120)  # whole grid, two blocks, five rows
 
 
 def huge_cell_fields(monkeypatch):
-    """``one_huge_cell(400, 120)`` fields at each of ``HUGE_CELL_BLOCKS``,
-    asserting that no run emits a warning."""
+    """The arrays of the ``one_huge_cell(400, 120)`` field at each of
+    ``HUGE_CELL_BLOCKS``, asserting that no kernel pass emits a warning."""
     surface = one_huge_cell(400, 120)
     fields = []
     for points in HUGE_CELL_BLOCKS:
         monkeypatch.setattr(geometry, "_BLOCK_POINTS", points)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            fields.append(cg.compute_geometry_field(surface))
+            fields.append(field_arrays(cg.compute_geometry_field(surface)))
         assert not caught
     return fields
 
 
-def assert_fields_equal(a, b):
+def assert_fields_equal(a: dict, b: dict):
+    """Compare two :func:`field_arrays` results."""
     for name in FIELD_ARRAYS:
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert np.array_equal(a[name], b[name]), name
 
 
 class TestValidityRule:
@@ -747,8 +776,8 @@ class TestValidityRule:
         expected = np.zeros((400, 120), dtype=bool)
         expected[1:-1, 1:-1] = True
         expected[199:202, 59:62] = False
-        assert np.array_equal(whole.valid, expected)
-        norms = np.linalg.norm(whole.tangents[whole.valid], axis=-1)
+        assert np.array_equal(whole["valid"], expected)
+        norms = np.linalg.norm(whole["tangents"][whole["valid"]], axis=-1)
         assert norms.shape[1] == 4
         assert np.abs(norms - 1.0).max() < 1e-12
 
@@ -765,10 +794,11 @@ class TestValidityRule:
         grid = cg.prepare_grid(surface)
         # rates do not depend on the year, so every row away from the huge
         # cell repeats row 190's field bit for bit
-        for name in FIELD_ARRAYS:
-            a = getattr(field, name)
+        arrays = field_arrays(field)
+        for name, a in arrays.items():
             for rows in (slice(1, 190), slice(211, 399)):
                 assert (a[rows] == a[190]).all(), name
+        field_tangents, field_cvs = arrays["tangents"], arrays["curvature_vectors"]
         checked = rejected = 0
         for i in range(190, 211):
             for j in range(1, 119):
@@ -779,8 +809,8 @@ class TestValidityRule:
                     rejected += 1
                     continue
                 assert field.valid[i, j], (i, j)
-                assert np.abs(tangents - field.tangents[i, j]).max() < 1e-13
-                assert np.abs(cvs - field.curvature_vectors[i, j]).max() < 1e-13
+                assert np.abs(tangents - field_tangents[i, j]).max() < 1e-13
+                assert np.abs(cvs - field_cvs[i, j]).max() < 1e-13
                 assert np.abs(normal - field.normals[i, j]).max() < 1e-13
                 assert np.abs(ncs - field.normal_curvatures[i, j]).max() < 1e-13
                 checked += 1
@@ -828,32 +858,33 @@ class TestKernelProperties:
     def test_silent_unit_finite_and_zero_where_rejected(self, grid):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            field = cg.compute_geometry_field(grid)
+            field = field_arrays(cg.compute_geometry_field(grid))
         assert not caught
-        valid = field.valid
+        valid = field["valid"]
         assert not valid[[0, -1]].any() and not valid[:, [0, -1]].any()
-        V = np.linalg.norm(field.tangents[valid], axis=-1)
-        N = np.linalg.norm(field.normals[valid], axis=-1)
+        V = np.linalg.norm(field["tangents"][valid], axis=-1)
+        N = np.linalg.norm(field["normals"][valid], axis=-1)
         assert np.abs(V - 1.0).max(initial=0.0) < 1e-12
         assert np.abs(N - 1.0).max(initial=0.0) < 1e-12
-        assert np.isfinite(field.normal_curvatures[valid]).all()
+        assert np.isfinite(field["normal_curvatures"][valid]).all()
         for name in FIELD_ARRAYS[1:]:
-            assert not getattr(field, name)[~valid].any(), name
+            assert not field[name][~valid].any(), name
 
     @settings(max_examples=100, deadline=None)
     @given(grid=rate_grids(), shift=st.integers(-10**6, 10**6))
     def test_integer_axis_shift_is_exact(self, grid, shift):
-        field = cg.compute_geometry_field(grid)
+        field = field_arrays(cg.compute_geometry_field(grid))
         for t, x in ((grid.t + shift, grid.x), (grid.t, grid.x + shift)):
-            assert_fields_equal(
-                cg.compute_geometry_field(SurfaceGrid(t=t, x=x, z=grid.z)), field)
+            assert_fields_equal(field_arrays(
+                cg.compute_geometry_field(SurfaceGrid(t=t, x=x, z=grid.z))), field)
 
     @settings(max_examples=100, deadline=None)
     @given(grid=rate_grids(max_exponent=295), k=st.integers(-16, 16))
     def test_power_of_two_z_scale_is_prescaling(self, grid, k):
         scaled = cg.compute_geometry_field(grid, GeometryOptions(z_scale=2.0**k))
         prescaled = SurfaceGrid(t=grid.t, x=grid.x, z=grid.z * 2.0**k)
-        assert_fields_equal(scaled, cg.compute_geometry_field(prescaled))
+        assert_fields_equal(field_arrays(scaled),
+                            field_arrays(cg.compute_geometry_field(prescaled)))
 
     # The two properties below are not bit-exact, so they compare at points
     # valid in both fields. Rates of magnitude at most 1 keep every slope at

@@ -33,9 +33,10 @@ class TestColumnMapping:
             (1933, 28, "0.003000", "0.003700", "0.003400"),
         ])
         result = parse_hmd(text)
-        assert result.total.rate(1933, 27) == 0.003281
-        assert result.female.rate(1933, 27) == 0.002935
-        assert result.male.rate(1933, 27) == 0.003633
+        # ages 26..28 of 1933: age 27 is column 1
+        assert result.surfaces[Sex.TOTAL].rates[0, 1] == 0.003281
+        assert result.surfaces[Sex.FEMALE].rates[0, 1] == 0.002935
+        assert result.surfaces[Sex.MALE].rates[0, 1] == 0.003633
         assert result.total.sex is Sex.TOTAL
 
     def test_open_age_group_stored_as_110(self):
@@ -44,8 +45,9 @@ class TestColumnMapping:
             (1950, "110+", "0.551786", "0.476215", "0.538332"),
         ])
         result = parse_hmd(text)
-        assert list(result.female.ages) == [109, 110]
-        assert result.female.rate(1950, 110) == 0.551786
+        female = result.surfaces[Sex.FEMALE]
+        assert list(female.ages) == [109, 110]
+        assert female.rates[0, 1] == 0.551786
 
     def test_dot_token_is_missing_in_all_sexes(self):
         text = make_hmd_text([
@@ -54,9 +56,9 @@ class TestColumnMapping:
             (1915, 104, "0.5", "0.47", "0.48"),
         ])
         result = parse_hmd(text)
-        for surface in (result.female, result.male, result.total):
+        for surface in result.surfaces.values():
             assert surface.missing_mask[0, 1]
-            assert np.isnan(surface.rate(1915, 103))
+            assert np.isnan(surface.rates[0, 1])
             assert not surface.missing_mask[0, 0]
 
     def test_title_becomes_source_label(self):
@@ -296,10 +298,12 @@ class TestProperties:
         assert mixed.data_row_count == ordered.data_row_count == len(rows)
         assert mixed.skipped_blank_lines == sum(blanks)
         assert mixed.line_count == ordered.line_count + sum(blanks)
+        surfaces = [mixed.surfaces[sex] for sex in (Sex.FEMALE, Sex.MALE, Sex.TOTAL)]
+        y0, a0 = surfaces[0].years[0], surfaces[0].ages[0]
         for year, age, _, *tokens in rows:
-            for surface, token in zip((mixed.female, mixed.male, mixed.total), tokens):
+            for surface, token in zip(surfaces, tokens):
                 expected = np.nan if token == "." else float(token)
-                np.testing.assert_equal(surface.rate(year, age), expected)
+                np.testing.assert_equal(surface.rates[year - y0, age - a0], expected)
 
     @settings(max_examples=60, deadline=None)
     @given(_valid_rows(min_years=2, min_ages=2), st.data())
@@ -331,8 +335,7 @@ class TestAccounting:
         assert result.data_row_count == 48
         assert result.line_count == 3 + 48
         assert result.skipped_blank_lines == 0
-        assert result.total.n_years == 6
-        assert result.total.n_ages == 8
+        assert result.total.rates.shape == (6, 8)
 
     def test_trailing_blank_lines_counted(self):
         text = make_hmd_text([(2000, 0, "0.1", "0.1", "0.1")],
@@ -344,8 +347,8 @@ class TestAccounting:
     def test_surfaces_cannot_be_replaced(self, small_hmd_text):
         result = parse_hmd(small_hmd_text)
         with pytest.raises(TypeError):
-            result.surfaces[Sex.MALE] = result.female
-        assert result.male.sex is Sex.MALE
+            result.surfaces[Sex.MALE] = result.surfaces[Sex.FEMALE]
+        assert result.surfaces[Sex.MALE].sex is Sex.MALE
 
     def test_every_cell_captured(self, small_hmd_text):
         result = parse_hmd(small_hmd_text)

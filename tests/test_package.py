@@ -163,6 +163,53 @@ def test_span_counts_read_attributes_the_results_have():
         assert attrs and not missing, (span, missing)
 
 
+def declared_type(cls: type, attr: str):
+    """The declared type of ``cls.attr`` (a dataclass field or a property),
+    None for any other member; fails if ``cls`` has no such attribute."""
+    if dataclasses.is_dataclass(cls) and attr in {f.name for f in
+                                                  dataclasses.fields(cls)}:
+        return typing.get_type_hints(cls)[attr]
+    assert hasattr(cls, attr), f"{cls.__name__}.{attr}"
+    member = getattr(cls, attr)
+    if isinstance(member, property):
+        return typing.get_type_hints(member.fget)["return"]
+    return None
+
+
+def test_run_reads_attributes_the_results_have():
+    """``run.py`` reads attribute chains such as ``parsed.total.rates`` off
+    variables it assigns from package calls (``parsed = parse_hmd(text)``);
+    each link must exist on the type the one before it has."""
+    tree = perfbench_tree("run.py")
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "cohortgeo"
+                for alias in node.names}
+    results = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                and isinstance(node.value.func, ast.Name)
+                and node.value.func.id in imported):
+            fn = getattr(cohortgeo, node.value.func.id)
+            for target in node.targets:
+                results[target.id] = typing.get_type_hints(fn)["return"]
+    chains = set()
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.insert(0, node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in results:
+            chains.add((node.id, *chain))
+    assert {("parsed", "data_row_count"), ("parsed", "total", "rates", "shape"),
+            ("parsed", "total", "missing_mask")} <= chains
+    for name, *attrs in chains:
+        cls = results[name]
+        for attr in attrs:
+            if not isinstance(cls, type):
+                break
+            cls = declared_type(cls, attr)
+
+
 def test_package_import_loads_every_traced_module():
     modules = sorted(f"cohortgeo.{m}" for m in spans_constant("_FUNCTIONS"))
     probe = f"import sys, cohortgeo; print([m for m in {modules!r} if m not in sys.modules])"

@@ -230,7 +230,7 @@ class TestMaterialization:
         surf = smooth.gompertz_surface()
         ms = smooth.materialize_mortality_surface(
             surf, np.arange(1900, 1910), np.arange(0, 5))
-        assert ms.n_years == 10 and ms.n_ages == 5
+        assert ms.rates.shape == (10, 5)
         assert ms.source_label.startswith("gompertz")
         assert float(ms.rates.min()) > 0
         # ageing dominates: rates increase along the age axis

@@ -37,16 +37,16 @@ def make_surface(rates, first_year=2000, first_age=0, sex=Sex.TOTAL, label="test
 class TestConstruction:
     def test_basic_fields(self):
         s = make_surface([[0.1, 0.2], [0.3, 0.4]])
-        assert s.n_years == 2 and s.n_ages == 2
-        assert s.rate(2000, 0) == 0.1
-        assert s.rate(2001, 1) == 0.4
+        assert s.rates.shape == (2, 2)
+        assert s.rates[0, 0] == 0.1
+        assert s.rates[1, 1] == 0.4
         assert not s.missing_mask.any()
 
     def test_missing_cells_flagged_not_zero(self):
         s = make_surface([[0.1, np.nan], [0.3, 0.4]])
         assert s.missing_mask[0, 1]
-        assert np.isnan(s.rate(2000, 1))
-        assert s.rate(2000, 0) == 0.1
+        assert np.isnan(s.rates[0, 1])
+        assert s.rates[0, 0] == 0.1
 
     def test_negative_rate_rejected(self):
         with pytest.raises(StructuralError, match="negative rate"):
@@ -54,7 +54,7 @@ class TestConstruction:
 
     def test_rates_above_one_allowed(self):
         s = make_surface([[1.5, 0.2], [0.3, 2.4]])
-        assert s.rate(2000, 0) == 1.5
+        assert s.rates[0, 0] == 1.5
 
     def test_non_contiguous_years_rejected(self):
         with pytest.raises(StructuralError):
@@ -158,11 +158,6 @@ class TestConstruction:
         assert s != make_surface(s.rates, sex=Sex.MALE)
         assert s != s.to_grid()
 
-    def test_keyerror_outside_grid(self):
-        s = make_surface([[0.1, 0.2], [0.3, 0.4]])
-        with pytest.raises(KeyError):
-            s.rate(1999, 0)
-
     def test_to_grid_float_axes(self):
         s = make_surface([[0.1, np.nan], [0.3, 0.4]])
         g = s.to_grid()
@@ -184,8 +179,8 @@ class TestConstruction:
 class TestCsvMatrix:
     def test_two_by_two_layout(self):
         s = parse_csv_matrix("0.1,0.2\n0.3,0.4", first_year=2000, first_age=0)
-        assert s.rate(2000, 0) == 0.1
-        assert s.rate(2001, 1) == 0.4
+        assert s.rates[0, 0] == 0.1
+        assert s.rates[1, 1] == 0.4
         assert list(s.years) == [2000, 2001]
         assert list(s.ages) == [0, 1]
 
@@ -197,7 +192,7 @@ class TestCsvMatrix:
         s = parse_csv_matrix("0.1,,0.3", first_year=2000, first_age=0)
         assert not s.missing_mask[0, 0]
         assert s.missing_mask[0, 1]
-        assert s.rate(2000, 2) == 0.3
+        assert s.rates[0, 2] == 0.3
 
     def test_non_numeric_cell_names_coordinates(self):
         with pytest.raises(FormatError, match="row 2, column 1"):
@@ -210,8 +205,8 @@ class TestCsvMatrix:
 
     def test_scientific_notation(self):
         s = parse_csv_matrix("1e-4,2.5E-3", first_year=2000, first_age=0)
-        assert s.rate(2000, 0) == 1e-4
-        assert s.rate(2000, 1) == 2.5e-3
+        assert s.rates[0, 0] == 1e-4
+        assert s.rates[0, 1] == 2.5e-3
 
     def test_empty_input(self):
         with pytest.raises(FormatError):
