@@ -377,7 +377,9 @@ def u_shape_diagnostic(series: CEISeries,
 
     Walks backward over the terminal strictly-decreasing run; it counts as
     a drop (border artifact) when it loses at least half of its starting
-    value. The trend slope is fit on the remaining tail segment.
+    value. The trend slope is fit on the remaining tail segment, against
+    years since its first cohort, so that it stays exact for birth years
+    far from 0.
     """
     keep = series.birth_years >= int(cutoff_year)
     years = series.birth_years[keep].astype(float)
@@ -400,7 +402,7 @@ def u_shape_diagnostic(series: CEISeries,
 
     slope: float | None = None
     if trend_end >= 2:
-        slope = float(np.polyfit(years[:trend_end], values[:trend_end], 1)[0])
+        slope = float(np.polyfit(years[:trend_end] - years[0], values[:trend_end], 1)[0])
     return UShapeReport(
         cutoff_year=int(cutoff_year),
         n_points=n,

@@ -85,8 +85,9 @@ _STENCIL_OFFSETS = (
 
 _TANGENT_EPS = 1e-14
 _EIGENGAP_TOL = 1e-9
-# Points per kernel row block: small enough that a block's temporaries stay
-# in cache, and it sets the thread split.
+# Points per row block of the kernel and of the field emitters: small enough
+# that a block's temporaries or per-value strings stay in cache, and it sets
+# the kernel's thread split.
 _BLOCK_POINTS = 8192
 # Grids of at most this many points (every HMD table) run on the calling
 # thread: a pool thread's own malloc arena costs more memory than it saves time.
@@ -268,11 +269,12 @@ class GeometryField:
     neither.
 
     :meth:`to_csv` and :meth:`to_json` export the coordinates, validity,
-    normals and normal curvatures. They format in bulk, a block of grid
-    rows at a time with one ``repr`` pass over each array's flattened
-    values, and write byte for byte what ``csv.writer`` with one ``repr``
-    per cell and ``json.dumps(indent=2)`` would, non-finite spellings
-    included.
+    normals and normal curvatures. They format in bulk, in the kernel's row
+    blocks of about ``_BLOCK_POINTS`` points with one ``repr`` pass over
+    each array's flattened values, so only one block's per-value strings
+    are alive at once, and write byte for byte what ``csv.writer`` with
+    one ``repr`` per cell and ``json.dumps(indent=2)`` would, non-finite
+    spellings included.
     """
 
     years: np.ndarray                 # t coordinates, shape (ny,)
@@ -302,9 +304,7 @@ class GeometryField:
         if self.grid is None:
             raise ValueError("a field built without its grid has no tangents "
                              "or curvature vectors")
-        vectors = (np.zeros(self.valid.shape + (4, 3)),
-                   np.zeros(self.valid.shape + (4, 3)))
-        _run_kernel(self.grid, vectors)
+        vectors = _run_kernel(self.grid, vectors=True)[3:]
         for a in vectors:
             a.flags.writeable = False
         return vectors
@@ -318,7 +318,7 @@ class GeometryField:
         lines = [",".join(["year", "age", "valid", "normal_t", "normal_x", "normal_z"]
                           + [f"nc_{name}" for name in DIRECTION_NAMES])]
         ages = [_format_coord(x) for x in self.ages]
-        for rows in _row_blocks(0, len(self.years), len(ages), _EMIT_POINTS):
+        for rows in _row_blocks(0, len(self.years), len(ages)):
             years = [_format_coord(t) for t in self.years[rows]]
             normals = _repr_leaves(self.normals[rows])
             curvatures = _repr_leaves(self.normal_curvatures[rows])
@@ -354,14 +354,10 @@ def _format_coord(v: float) -> str:
     return str(int(f)) if f.is_integer() else repr(f)
 
 
-# The emitters format this many grid points at a time, so that only one
-# block's per-value strings are alive at once.
-_EMIT_POINTS = 8192
-
-
-def _row_blocks(start: int, stop: int, nx: int, points: int) -> list[slice]:
-    """Rows start..stop-1 of width ``nx`` cut into blocks of about ``points``."""
-    step = max(1, points // max(nx, 1))
+def _row_blocks(start: int, stop: int, width: int) -> list[slice]:
+    """Rows start..stop-1 of ``width`` points each, cut into blocks of about
+    ``_BLOCK_POINTS`` points."""
+    step = max(1, _BLOCK_POINTS // max(width, 1))
     return [slice(i, min(i + step, stop)) for i in range(start, stop, step)]
 
 
@@ -388,7 +384,7 @@ def _json_array(a: np.ndarray) -> list[str]:
         return ["[]"]
     sep = ",\n    "
     pieces = ["[\n    "]
-    for rows in _row_blocks(0, len(a), a[0].size, _EMIT_POINTS):
+    for rows in _row_blocks(0, len(a), a[0].size):
         block = a[rows]
         if block.dtype == bool:
             items = _flag_leaves(block)
@@ -435,18 +431,17 @@ def compute_point_geometry(grid: SurfaceGrid, i: int, j: int):
     return tangents, cvs, normal, ncs
 
 
-def _kernel_rows(grid: SurfaceGrid, rows: slice, out: tuple[np.ndarray, ...],
-                 sink: tuple[np.ndarray, np.ndarray] | None) -> None:
+def _kernel_rows(grid: SurfaceGrid, rows: slice, out: tuple[np.ndarray, ...]) -> None:
     """Kernel over the interior ``rows``, reading one halo row each side.
 
-    Builds the block's ``(h+2, nx, 3)`` point slab from ``grid``'s rows.
-    ``out`` is ``(valid, normals, normal_curvatures)``, full-grid with zero
-    border rows and columns. The unit tangents ``V`` and curvature vectors
-    ``CV`` are block temporaries; a full-grid ``sink = (tangents,
-    curvature_vectors)`` also receives them, zero where rejected. Applies
-    the validity rule under one ``errstate`` that silences every
-    intermediate, writes straight into its own rows of ``out`` and then
-    zeroes the rejected points there, so blocks may run concurrently. Same
+    Builds the block's ``(h+2, nx, 3)`` point slab from ``grid``'s rows and
+    applies the validity rule under one ``errstate`` that silences every
+    intermediate. ``out`` holds full-grid arrays with zero border rows and
+    columns: ``(valid, normals, normal_curvatures)``, optionally followed
+    by ``(tangents, curvature_vectors)``. The block's results are zeroed
+    at rejected points and copied into their own rows of each array in
+    ``out``, so blocks may run concurrently; unit tangents and curvature
+    vectors that ``out`` does not ask for stay block temporaries. Same
     arithmetic as :func:`compute_point_geometry` at each valid point.
     """
     nx = grid.x.size
@@ -460,7 +455,6 @@ def _kernel_rows(grid: SurfaceGrid, rows: slice, out: tuple[np.ndarray, ...],
     valid = np.ones((h, nx - 2), dtype=bool)
     V = np.empty((h, nx - 2, 4, 3))
     CV = np.empty((h, nx - 2, 4, 3))
-    valid_out, n_out, NC_out = (a[rows, 1:-1] for a in out)
     with np.errstate(all="ignore"):
         for k, ((di0, dj0), (di2, dj2)) in enumerate(_STENCIL_OFFSETS):
             q0 = P[1 + di0:h + 1 + di0, 1 + dj0:nx - 1 + dj0]
@@ -497,16 +491,10 @@ def _kernel_rows(grid: SurfaceGrid, rows: slice, out: tuple[np.ndarray, ...],
         n = np.where(flip[..., None], -n, n)
         NC = np.einsum("yxi,yxki->yxk", n, CV)
 
-    valid_out[...] = valid
-    n_out[...] = n
-    NC_out[...] = NC
     rejected = ~valid
-    for a in (n_out, NC_out):
-        a[rejected] = 0.0
-    if sink is not None:
-        for vectors, dest in zip((V, CV), sink):
-            vectors[rejected] = 0.0
-            dest[rows, 1:-1] = vectors
+    for block, dest in zip((valid, n, NC, V, CV), out):
+        block[rejected] = 0
+        dest[rows, 1:-1] = block
 
 
 def _worker_count(n_blocks: int) -> int:
@@ -517,10 +505,10 @@ def _worker_count(n_blocks: int) -> int:
     return min(cpus, n_blocks)
 
 
-def _run_kernel(grid: SurfaceGrid, sink: tuple[np.ndarray, np.ndarray] | None = None
-                ) -> tuple[np.ndarray, ...]:
+def _run_kernel(grid: SurfaceGrid, vectors: bool = False) -> tuple[np.ndarray, ...]:
     """The block scheduler: ``(valid, normals, normal_curvatures)`` of
-    ``grid``, computed in row blocks; ``sink`` as for :func:`_kernel_rows`.
+    ``grid``, computed in row blocks, followed with ``vectors=True`` by the
+    ``(ny, nx, 4, 3)`` ``tangents`` and ``curvature_vectors``.
 
     Interior rows are processed in blocks of about ``_BLOCK_POINTS`` points,
     each built from the grid's rows plus one halo row above and below and
@@ -531,22 +519,20 @@ def _run_kernel(grid: SurfaceGrid, sink: tuple[np.ndarray, np.ndarray] | None = 
     a single pass.
     """
     ny, nx = grid.shape
-    out = (
-        np.zeros((ny, nx), dtype=bool),
-        np.zeros((ny, nx, 3)),
-        np.zeros((ny, nx, 4)),
-    )
-    blocks = _row_blocks(1, ny - 1, nx, _BLOCK_POINTS)
+    out = (np.zeros((ny, nx), dtype=bool), np.zeros((ny, nx, 3)), np.zeros((ny, nx, 4)))
+    if vectors:
+        out += (np.zeros((ny, nx, 4, 3)), np.zeros((ny, nx, 4, 3)))
+    blocks = _row_blocks(1, ny - 1, nx)
     workers = 1 if ny * nx <= _SERIAL_POINTS else _worker_count(len(blocks))
     if workers <= 1:
         for rows in blocks:
-            _kernel_rows(grid, rows, out, sink)
+            _kernel_rows(grid, rows, out)
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             # list() waits for every block and re-raises a block's error
-            list(pool.map(lambda rows: _kernel_rows(grid, rows, out, sink), blocks))
+            list(pool.map(lambda rows: _kernel_rows(grid, rows, out), blocks))
     return out
 
 

@@ -575,6 +575,14 @@ class TestUShape:
         report = cg.u_shape_diagnostic(s, cutoff_year=1965)
         assert report.drop_start_year is None
 
+    @pytest.mark.parametrize("first_year", [1970, 10**9, 2**52, -2**53])
+    def test_slope_exact_far_from_year_zero(self, first_year):
+        # the fit runs on years since the first one: raw years this large
+        # leave polyfit's design matrix rank-deficient
+        s = series_of(0.37 * np.arange(30), first_year=first_year)
+        report = cg.u_shape_diagnostic(s, cutoff_year=first_year)
+        assert abs(report.slope - 0.37) < 1e-12
+
 
 class TestGoldenBytes:
     """sha256 digests of the chart and report texts for two hand-valued

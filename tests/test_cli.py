@@ -37,7 +37,7 @@ from cohortgeo.analytics import (
 )
 from cohortgeo.cli import build_parser, main
 from cohortgeo.svgchart import _ticks
-from conftest import make_hmd_text, package_env
+from conftest import make_hmd_text, package_env, planted_hmd_text
 
 
 def run(*argv) -> int:
@@ -799,3 +799,72 @@ def test_exit_code_contract(fuzz_dir, data):
         except SystemExit as exc:  # argparse rejects the command line
             code = exc.code
     assert code in (0, 2, 3, 4), argv
+
+
+@pytest.fixture(scope="module")
+def planted_hmd(tmp_path_factory):
+    """A seeded 110-year HMD file with a ridge on cohort 1930."""
+    path = tmp_path_factory.mktemp("planted") / "planted.Mx_1x1.txt"
+    path.write_text(planted_hmd_text(5, 0.3))
+    return path
+
+
+CSV_ARGS = ("{csv}", "--input-format", "csv", "--first-year", "1900", "--first-age", "0")
+GOLDEN_COMMANDS = {
+    "cei-csv": ("cei", "{hmd}"),
+    "cei-json": ("cei", "{hmd}", "--format", "json"),
+    "cei-svg": ("cei", "{hmd}", "--format", "svg", "-o", "{out}"),
+    "aice-csv": ("aice", "{hmd}"),
+    "aice-json": ("aice", "{hmd}", "--format", "json"),
+    "gaps-csv": ("gaps", "{hmd}", "-o", "{out}"),
+    "gaps-json": ("gaps", "{hmd}", "--format", "json"),
+    "cei-female-mean": ("cei", "{hmd}", "--sex", "female", "--normalization", "mean",
+                        "--no-trim"),
+    "cei-z-scale-log": ("cei", "{hmd}", "--z-scale", "37", "--log"),
+    "surface-csv": ("surface", "{hmd}", "-o", "{out}"),
+    "surface-json": ("surface", "{hmd}", "--format", "json"),
+    "csv-input-cei": ("cei", *CSV_ARGS),
+    "csv-input-aice": ("aice", *CSV_ARGS, "--format", "json"),
+    "synthetic-csv": ("synthetic", "--shape", "sphere", "--years", "1950:1980",
+                      "--ages", "0:25"),
+    "synthetic-json": ("synthetic", "--shape", "gompertz", "--years", "1950:1980",
+                       "--ages", "0:25", "--format", "json", "-o", "{out}"),
+    "plot-peaks": ("plot", "{series}", "--title", "ridge", "-o", "{out}"),
+    "plot-no-peaks": ("plot", "{series}", "--no-peaks"),
+}
+GOLDEN_OUTPUT_DIGESTS = {
+    "aice-csv": "6b2d29ff1774734a7e46023e02c7efdcdb0786a8ca2cc864e0ef684c5d2249e2",
+    "aice-json": "2e5c7dde08f61b07cf117f915de45882f27e9b96876bf557b0285882caf1e971",
+    "cei-csv": "f6dad77179a8b247f9156e43bd873fe53646f54cfc41498dbd1d3b5fb063f0c0",
+    "cei-female-mean": "fa420078b882900d841dc3e2b3eb28bda40c5a9ce43d9e1987fef1a119814dee",
+    "cei-json": "cfac6cb911e4a3e99432d68593590d9f69c654a20a313cada8b7bbd7885d8ce4",
+    "cei-svg": "8181422ca687ea07c61d9426130f0411b5b4e787d79f58e57745a9a4c3f7b36f",
+    "cei-z-scale-log": "5c5099e81be94eb462f3c7d82272f3c60cb366278f01cecfcdb695f41b064217",
+    "csv-input-aice": "5f9c0ce67832600f2fe0c5022647509f5670bbff4c25f427187d58f6a1eefbe8",
+    "csv-input-cei": "bf68af2161e797d028a7edc8e6b6f610f657ba0f6b027582332b0bdaa9ae92ae",
+    "gaps-csv": "ed4266c28b808c1d4a67421815146fb6380085b9f59beb4b59d5941184dbefba",
+    "gaps-json": "a38656de284d13f6ee47685d67e0051ff71983ec76f7b95ae8a01b7f606863b7",
+    "plot-no-peaks": "bfe54d4b268b287cf42539d6b98555ed7b2f45d63c725e9ba167431eaed820e5",
+    "plot-peaks": "891a84d48db16936dc07b8f21d68bb6c8a69e9f21801abca259526b5fbfec27f",
+    "surface-csv": "9db2941de9b638614863cf7451bbd8ecdfbc7ec68320df875e6e1840cd68d7c8",
+    "surface-json": "ba643eadfd27550f01f8da1826ef36b8b45c5d9a75241899c8b6ef9c5101723a",
+    "synthetic-csv": "bb502386f442d21fb0d4e930f79ac0d5a5421ca6fa56c198c50b363c04da878e",
+    "synthetic-json": "332ab652ae48819ebce8b53e8a6607c50a118739a0fe0cdf64b916b3616c2989",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_COMMANDS))
+def test_golden_outputs(case, planted_hmd, ridge_csv, series_csv, tmp_path, capsys):
+    """sha256 of each command's stdout, or of its ``-o`` file, over a fixed
+    set of commands on a seeded HMD file and a synthetic CSV matrix: the
+    same input must give the same bytes. Like ``TestGoldenFields`` in
+    ``test_geometry.py``, the digests pin the last bits of this numpy
+    build; another numpy or platform may need them recorded again."""
+    out = tmp_path / "result"
+    argv = [a.format(hmd=planted_hmd, csv=ridge_csv, series=series_csv, out=out)
+            for a in GOLDEN_COMMANDS[case]]
+    assert run(*argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    data = out.read_bytes() if "-o" in argv else captured.out.encode()
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_OUTPUT_DIGESTS[case]

@@ -147,7 +147,7 @@ def hand_built_fields(draw) -> GeometryField:
 @settings(max_examples=300, deadline=None)
 @given(field=hand_built_fields(), emit_points=st.sampled_from([1, 3, 5, 8192]))
 def test_emitters_match_the_oracle(field, emit_points):
-    with mock.patch.object(geometry, "_EMIT_POINTS", emit_points):
+    with mock.patch.object(geometry, "_BLOCK_POINTS", emit_points):
         assert field.to_csv() == oracle_csv(field)
         assert field.to_json() == oracle_json(field)
 
@@ -156,6 +156,6 @@ def test_emitters_match_the_oracle(field, emit_points):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_kernel_fields_match_the_oracle(case, emit_points, monkeypatch):
     field = CASES[case]()
-    monkeypatch.setattr(geometry, "_EMIT_POINTS", emit_points)
+    monkeypatch.setattr(geometry, "_BLOCK_POINTS", emit_points)
     assert field.to_csv() == oracle_csv(field)
     assert field.to_json() == oracle_json(field)

@@ -672,6 +672,31 @@ class TestRowBlocks:
         # read the on-demand arrays only after the pools were counted
         assert_fields_equal(field_arrays(field), serial)
 
+    @pytest.mark.parametrize("pool", [False, True], ids=["serial", "pool"])
+    def test_vectors_leave_the_field_bits_alone(self, monkeypatch, pool):
+        # every kernel output goes through one write path: asking for the
+        # tangents and curvature vectors must not move a bit of the field
+        surface = make_surface(blocked_case("holes"))
+        monkeypatch.setattr(geometry, "_BLOCK_POINTS", surface.rates.shape[1])
+        if pool:
+            monkeypatch.setattr(geometry, "_SERIAL_POINTS", 0)
+            monkeypatch.setattr(geometry, "_worker_count", lambda n_blocks: 8)
+        pools, _ = record_threads(monkeypatch)
+        field = cg.compute_geometry_field(surface)
+        plain = geometry._run_kernel(field.grid)
+        with_vectors = geometry._run_kernel(field.grid, vectors=True)
+        assert pools == ([8, 8, 8] if pool else [])
+        assert len(plain) == 3 and len(with_vectors) == 5
+        assert not field.valid[1:-1, 1:-1].all()  # missing cells reject points
+        for name, a, b in zip(("valid", "normals", "normal_curvatures"),
+                              plain, with_vectors):
+            stored = getattr(field, name)
+            assert a.dtype == b.dtype == stored.dtype, name
+            assert a.tobytes() == b.tobytes() == stored.tobytes(), name
+        for vectors in with_vectors[3:]:
+            assert vectors.shape == field.shape + (4, 3)
+            assert not vectors[~field.valid].any()
+
 
 def test_kernel_scratch_memory_stays_bounded(monkeypatch):
     # numpy buffers are traced; besides the field's 57 bytes per point, the
