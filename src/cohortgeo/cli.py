@@ -203,15 +203,14 @@ def _emit(text: str, output_path: str | None) -> None:
 
 
 def _load_surface(args: argparse.Namespace) -> MortalitySurface:
-    sex = Sex(args.sex)
     if args.input_format == "hmd":
-        return load_hmd(args.input, sex=sex)
+        return load_hmd(args.input, sex=args.sex)
     if args.first_year is None or args.first_age is None:
         raise ValueError("csv input needs --first-year and --first-age")
     with open(args.input, "r", encoding="utf-8") as fh:
         text = fh.read()
     return parse_csv_matrix(text, first_year=args.first_year,
-                            first_age=args.first_age, sex=sex,
+                            first_age=args.first_age, sex=args.sex,
                             source_label=os.path.basename(args.input))
 
 

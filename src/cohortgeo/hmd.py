@@ -23,7 +23,6 @@ the returned row accounting lets callers verify nothing was dropped.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -32,7 +31,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import FormatError, StructuralError
-from .surface import MortalitySurface, Sex
+from .surface import MortalitySurface, Sex, _parse_rate
 
 _HEADER_COLUMNS = ("Year", "Age", "Female", "Male", "Total")
 
@@ -58,19 +57,6 @@ def _parse_age(token: str, lineno: int) -> int:
         return int(raw)
     except ValueError:
         raise FormatError(f"line {lineno}: unparsable age {token!r}") from None
-
-
-def _parse_value(token: str, lineno: int) -> float:
-    if token == ".":
-        return np.nan
-    try:
-        value = float(token)
-    except ValueError:
-        raise FormatError(f"line {lineno}: unparsable rate {token!r}") from None
-    if math.isnan(value):
-        raise FormatError(f"line {lineno}: rate {token!r} is not a number; "
-                          "write '.' for a missing cell")
-    return value
 
 
 def parse_hmd(text: str) -> HmdParseResult:
@@ -112,7 +98,9 @@ def parse_hmd(text: str) -> HmdParseResult:
         except ValueError:
             raise FormatError(f"line {lineno}: unparsable year {tokens[0]!r}") from None
         key = (year, _parse_age(tokens[1], lineno))
-        values = tuple(_parse_value(token, lineno) for token in tokens[2:])
+        values = tuple(np.nan if token == "." else
+                       _parse_rate(token, "write '.'", "line {}", lineno)
+                       for token in tokens[2:])
         if key in rows:
             raise StructuralError(
                 f"line {lineno}: duplicate row for year {year}, age {key[1]}")

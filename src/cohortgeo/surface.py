@@ -194,14 +194,17 @@ class MortalitySurface:
 
 # --- parsing ----------------------------------------------------------------
 
-def _parse_rate_token(token: str, where: str) -> float:
+def _parse_rate(token: str, hint: str, where: str, *at: int) -> float:
+    """A rate is what :func:`float` reads, but not a NaN spelling: each text
+    format has its own missing-cell marker, which ``hint`` names. The error
+    location ``where.format(*at)`` is built only when the token is rejected."""
     try:
         value = float(token)
     except ValueError:
-        raise FormatError(f"non-numeric value {token!r} at {where}") from None
+        raise FormatError(f"{where.format(*at)}: unparsable rate {token!r}") from None
     if math.isnan(value):
-        raise FormatError(f"value {token!r} at {where} is not a number; "
-                          "leave the field empty for a missing cell")
+        raise FormatError(f"{where.format(*at)}: rate {token!r} is not a number; "
+                          f"{hint} for a missing cell")
     return value
 
 
@@ -232,14 +235,10 @@ def parse_csv_matrix(
                 raise FormatError(
                     f"ragged row at row {r + 1}: expected {width} fields, got {len(row)}"
                 )
-            parsed = []
-            for c, tok in enumerate(row):
-                tok = tok.strip()
-                if tok == "":
-                    parsed.append(np.nan)
-                else:
-                    parsed.append(_parse_rate_token(tok, f"row {r + 1}, column {c + 1}"))
-            rows.append(parsed)
+            rows.append([np.nan if tok == "" else
+                         _parse_rate(tok, "leave the field empty", "row {}, column {}",
+                                     r + 1, c + 1)
+                         for c, tok in enumerate(map(str.strip, row))])
     except csv.Error as exc:
         raise FormatError(f"malformed CSV at line {reader.line_num}: {exc}") from None
     if not rows:
@@ -250,7 +249,7 @@ def parse_csv_matrix(
         years=np.arange(first_year, first_year + n_years),
         ages=np.arange(first_age, first_age + n_ages),
         rates=np.asarray(rows, dtype=float),
-        sex=Sex(sex),
+        sex=sex,
         source_label=source_label,
     )
 
@@ -279,6 +278,18 @@ def parse_json(text: str) -> MortalitySurface:
     # Wrong value types, ragged lists and ints beyond float range fail here.
     try:
         sex = Sex(sex)
+        # type(), not isinstance(): json reads true and false as bools,
+        # which isinstance counts as ints.
+        for key, items, types, kind in (
+                ("source_label", [source_label], (str,), "a string"),
+                ("years", years, (int, float), "integers"),
+                ("ages", ages, (int, float), "integers"),
+                ("rates", (v for row in rates for v in row), (int, float, type(None)),
+                 "numbers or null"),
+                ("missing_mask", (v for row in mask for v in row), (bool,), "booleans")):
+            for value in items:
+                if type(value) not in types:
+                    raise TypeError(f"{key} must be {kind}, not {type(value).__name__}")
         years, ages = np.asarray(years), np.asarray(ages)
         matrix = np.asarray(
             [[np.nan if v is None else float(v) for v in row] for row in rates],
@@ -296,7 +307,7 @@ def parse_json(text: str) -> MortalitySurface:
         ages=ages,
         rates=matrix,
         sex=sex,
-        source_label=str(source_label),
+        source_label=source_label,
     )
 
 

@@ -33,9 +33,7 @@ def _fmt(v: float) -> str:
 
 
 def _nice_step(span: float, target: int) -> float:
-    if span <= 0:
-        return 1.0
-    raw = span / max(target, 1)
+    raw = span / target
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
@@ -43,7 +41,7 @@ def _nice_step(span: float, target: int) -> float:
     return 10.0 * mag
 
 
-def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+def _ticks(lo: float, hi: float, target: int) -> list[float]:
     if hi <= lo:
         return [lo]
     step = _nice_step(hi - lo, target)

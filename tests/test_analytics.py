@@ -63,6 +63,16 @@ class TestCEISeriesType:
                            match="birth_years must be a nonempty 1-D sequence"):
             series_of([])
 
+    @pytest.mark.parametrize("values, counts, message", [
+        ([1.0, 2.0, 3.0], [1, 1], "birth_years, values, point_counts must align"),
+        ([1.0, 2.0], [1, 1, 1], "birth_years, values, point_counts must align"),
+        ([1.0, 0.0], [1, -1], "point counts must be >= 0"),
+    ], ids=["long-values", "long-counts", "negative-count"])
+    def test_shape_and_count_messages(self, values, counts, message):
+        with pytest.raises(StructuralError) as exc:
+            CEISeries(birth_years=[1900, 1901], values=values, point_counts=counts)
+        assert str(exc.value) == message
+
     def test_lookup_and_iteration(self):
         s = series_of([1.0, 2.0, 3.0], first_year=1950)
         assert s.values[1951 - s.first_year] == 2.0

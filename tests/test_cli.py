@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import io
 import json
@@ -375,6 +376,11 @@ class TestPlot:
         escaped = "C\u00f4te \"d\" &amp; &lt;Ivoire&gt; 'x'</text>"
         assert svg.count(escaped) == 2
 
+    def test_no_series_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            render_series_chart([])
+        assert str(exc.value) == "need at least one series to chart"
+
     def test_two_series_two_polylines(self, series_csv, tmp_path):
         other = tmp_path / "other.csv"
         other.write_text(series_csv.read_text())
@@ -593,6 +599,20 @@ class TestOutputHandling:
                    "--first-year", "1900", "--first-age", "0",
                    "-o", str(out)) == 0
         assert out.exists()
+
+    def test_output_onto_a_directory_cleans_up_exit_2(self, ridge_csv, tmp_path,
+                                                      capsys):
+        # the temp file is written and only the rename fails
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run("cei", str(ridge_csv), "--input-format", "csv",
+                   "--first-year", "1900", "--first-age", "0", "-o", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: [Errno {errno.EISDIR}] Is a directory: "
+                              f"'{tmp_path}{os.sep}.cohortgeo-")
+        assert err.endswith(f".tmp' -> '{out}'\n")
+        assert not list(tmp_path.glob(".cohortgeo-*"))
+        assert not list(out.iterdir())
 
     def test_output_below_a_file_exit_2(self, ridge_csv, capsys):
         assert run("cei", str(ridge_csv), "--input-format", "csv",
@@ -868,3 +888,65 @@ def test_golden_outputs(case, planted_hmd, ridge_csv, series_csv, tmp_path, caps
     assert captured.err == ""
     data = out.read_bytes() if "-o" in argv else captured.out.encode()
     assert hashlib.sha256(data).hexdigest() == GOLDEN_OUTPUT_DIGESTS[case]
+
+
+_MATRIX_ARGS = ("--input-format", "csv", "--first-year", "1900", "--first-age", "0")
+_HMD_TEXT = make_hmd_text([(y, a, "0.01", "0.02", "0.03")
+                           for y in (1900, 1901, 1902) for a in range(3)])
+ERROR_CASES = {
+    "hmd-unparsable-rate": (
+        _HMD_TEXT.replace("0.02", "x", 1), ("cei",), 2,
+        "error: line 4: unparsable rate 'x'"),
+    "hmd-nan-rate": (
+        _HMD_TEXT.replace("0.02", "nan", 1), ("cei",), 2,
+        "error: line 4: rate 'nan' is not a number; write '.' for a missing cell"),
+    "hmd-duplicate-row": (
+        _HMD_TEXT + _HMD_TEXT.splitlines()[3] + "\n", ("cei",), 2,
+        "error: line 13: duplicate row for year 1900, age 0"),
+    "hmd-year-gap": (
+        make_hmd_text([(y, a, "0.01", "0.02", "0.03")
+                       for y in (1900, 1902) for a in range(3)]), ("cei",), 2,
+        "error: non-contiguous years: 1900..1902 has gaps"),
+    "hmd-bad-header": (
+        _HMD_TEXT.replace("Total", "Both"), ("cei",), 2,
+        "error: line 3: malformed header 'Year Age Female Male Both'; "
+        "expected 'Year Age Female Male Total'"),
+    "csv-non-numeric-cell": (
+        "0.1,0.2,0.3\nbogus,0.2,0.3\n0.1,0.2,0.3\n", ("cei", *_MATRIX_ARGS), 2,
+        "error: row 2, column 1: unparsable rate 'bogus'"),
+    "csv-nan-cell": (
+        "0.1,nan,0.3\n0.1,0.2,0.3\n0.1,0.2,0.3\n", ("cei", *_MATRIX_ARGS), 2,
+        "error: row 1, column 2: rate 'nan' is not a number; "
+        "leave the field empty for a missing cell"),
+    "csv-ragged-row": (
+        "0.1,0.2,0.3\n0.1,0.2\n", ("cei", *_MATRIX_ARGS), 2,
+        "error: ragged row at row 2: expected 3 fields, got 2"),
+    "csv-no-first-year": (
+        "0.1,0.2,0.3\n", ("cei", "--input-format", "csv", "--first-age", "0"), 2,
+        "error: csv input needs --first-year and --first-age"),
+    "grid-2x5": (
+        "0.1,0.2,0.3,0.4,0.5\n0.2,0.3,0.4,0.5,0.6\n", ("cei", *_MATRIX_ARGS), 3,
+        "geometry error: grid 2x5 is smaller than 3x3"),
+    "aice-window-outside": (
+        "0.1,0.2,0.4,0.8\n0.2,0.3,0.5,0.9\n0.4,0.5,0.9,1.7\n0.8,0.9,1.6,3.3\n",
+        ("aice", *_MATRIX_ARGS, "--window", "2500:2510"), 4,
+        "analytics error: aice needs at least 2 cohorts in window (2500, 2510), got 0"),
+    "plot-bad-series-row": (
+        "birth_year,cei,point_count\n1900,1.0,3\n1901,x,3\n", ("plot",), 2,
+        "error: malformed series CSV: row 3: could not convert string to float: 'x'"),
+    "plot-too-narrow": (
+        "birth_year,cei,point_count\n1900,1.0,3\n1901,2.0,3\n", ("plot", "--width", "60"),
+        2, "error: chart dimensions too small for the fixed margins"),
+}
+
+
+@pytest.mark.parametrize("case", list(ERROR_CASES))
+def test_error_messages(case, tmp_path, capsys):
+    """Exit code and the exact stderr line for a fixed set of bad inputs:
+    the error text is output too, and must not change by accident."""
+    text, (command, *flags), code, message = ERROR_CASES[case]
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    assert run(command, str(path), *flags) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message + "\n")

@@ -347,6 +347,13 @@ class TestComputeGeometryField:
         with pytest.raises(SurfaceSizeError):
             field_on(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("i, j", [(0, 1), (1, 0), (3, 1), (1, 2)])
+    def test_point_geometry_refuses_border_points(self, i, j):
+        grid = make_surface(np.ones((4, 3))).to_grid()
+        with pytest.raises(SurfaceSizeError) as exc:
+            cg.compute_point_geometry(grid, i, j)
+        assert str(exc.value) == f"({i}, {j}) is not interior to the grid"
+
     def test_missing_cell_poisons_neighbourhood(self):
         z = np.ones((7, 7)) * 0.5
         z += 0.01 * (np.arange(7)[:, None] ** 2)  # break the eigengap tie

@@ -196,6 +196,13 @@ class TestSmoothCei:
             smooth.smooth_cei(surf, 0.0, (-10.0, 10.0), quadrature_step=10.0,
                           rel_tol=1e-16, max_halvings=2)
 
+    @pytest.mark.parametrize("step", [0, -1.0, math.nan])
+    def test_nonpositive_quadrature_step_rejected(self, step):
+        surf = smooth.plane(0.2, 0.5, 1.0, domain=((-100, 100), (-100, 100)))
+        with pytest.raises(ValueError) as exc:
+            smooth.smooth_cei(surf, 0.0, (-20.0, 20.0), quadrature_step=step)
+        assert str(exc.value) == "quadrature_step must be positive"
+
     def test_deterministic(self):
         surf = smooth.gaussian_ridge(width=40.0)
         a = smooth.smooth_cei(surf, 1.0, (-20.0, 20.0))

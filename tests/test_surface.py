@@ -285,6 +285,23 @@ class TestSerialization:
         with pytest.raises(FormatError, match="malformed surface JSON"):
             parse_json(json.dumps(obj))
 
+    @pytest.mark.parametrize("edit", [
+        {"rates": [["0.1", 0.2], [0.3, 0.4]]},
+        {"rates": [[True, 0.2], [0.3, 0.4]]},
+        {"years": [False, True]},
+        {"ages": [0, True]},
+        {"missing_mask": [[0, 0], [0, 0]]},
+        {"source_label": 5},
+    ], ids=["rate-numeric-string", "rate-true", "years-booleans", "age-true",
+            "mask-zeros", "label-number"])
+    def test_json_wrong_item_types_name_their_key(self, edit):
+        # each of these used to be read as a number, a mask or a label
+        obj = json.loads(serialize(make_surface([[0.1, 0.2], [0.3, 0.4]]), "json"))
+        obj.update(edit)
+        (key,) = edit
+        with pytest.raises(FormatError, match=f"^malformed surface JSON: {key} must be "):
+            parse_json(json.dumps(obj))
+
     @pytest.mark.parametrize("text", ["[1, 2]", "5", "null"])
     def test_json_top_level_non_object_rejected(self, text):
         with pytest.raises(FormatError, match="surface JSON must be an object"):
@@ -358,6 +375,17 @@ class TestSurfaceGrid:
         with pytest.raises(StructuralError):
             SurfaceGrid(t=np.array([0.0, 1.0]), x=np.array([0.0, 1.0]),
                         z=np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("t, x, z, message", [
+        ([], [0.0, 1.0], np.zeros((0, 2)), "grid axes must be nonempty 1-D arrays"),
+        ([0.0, 1.0], [0.0, np.nan], np.zeros((2, 2)), "grid coordinates must be finite"),
+        ([0.0, 1.0], [0.0, 1.0], [[0.0, 0.0], [np.inf, np.nan]],
+         "grid values must be finite or NaN (missing)"),
+    ], ids=["empty-axis", "nan-coordinate", "infinite-value"])
+    def test_check_messages(self, t, x, z, message):
+        with pytest.raises(StructuralError) as exc:
+            SurfaceGrid(t=np.array(t), x=np.array(x), z=np.array(z))
+        assert str(exc.value) == message
 
     def test_non_unit_spacing_allowed(self):
         g = SurfaceGrid(t=np.array([0.0, 0.5, 1.0]), x=np.array([0.0, 0.5]),
