@@ -20,7 +20,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass, replace
+import numbers
+from dataclasses import asdict, dataclass, field, replace
 from typing import Iterator
 
 import numpy as np
@@ -104,8 +105,7 @@ class CEISeries:
         return out.getvalue()
 
     @classmethod
-    def from_csv(cls, text: str, sex: Sex | None = None,
-                 source_label: str = "", options_label: str = "") -> "CEISeries":
+    def from_csv(cls, text: str, source_label: str = "") -> "CEISeries":
         try:
             rows = [(n, r) for n, r in enumerate(csv.reader(io.StringIO(text)), 1) if r]
         except csv.Error as exc:
@@ -123,8 +123,8 @@ class CEISeries:
                 counts.append(int(r[2]))
             except ValueError as exc:
                 raise ValueError(f"malformed series CSV: row {n}: {exc}") from None
-        return cls(birth_years=years, values=values, point_counts=counts, sex=sex,
-                   source_label=source_label, options_label=options_label)
+        return cls(birth_years=years, values=values, point_counts=counts,
+                   source_label=source_label)
 
     def to_json(self) -> str:
         obj = {
@@ -144,14 +144,13 @@ class Peak:
 
     start_year: int
     end_year: int
-    width_years: int
+    width_years: int = field(init=False)
     max_cei: float
 
     def __post_init__(self) -> None:
         if self.start_year > self.end_year:
             raise ValueError("peak start must not exceed end")
-        if self.width_years != self.end_year - self.start_year + 1:
-            raise ValueError("peak width must equal end - start + 1")
+        object.__setattr__(self, "width_years", self.end_year - self.start_year + 1)
 
 
 @dataclass(frozen=True)
@@ -299,7 +298,8 @@ def aice(series: CEISeries, window: tuple[int, int] = DEFAULT_WINDOW) -> CohortR
 def rolling_median_baseline(values: np.ndarray, width: int) -> np.ndarray:
     """Centered rolling median; the half-window shrinks near the ends so the
     window stays symmetric around each point."""
-    if width < 1 or width % 2 == 0:
+    if (not isinstance(width, numbers.Integral) or isinstance(width, bool)
+            or width < 1 or width % 2 == 0):
         raise ParameterError("baseline window must be a positive odd integer")
     v = np.asarray(values, dtype=float)
     n = v.size
@@ -337,13 +337,15 @@ def detect_peaks(
             f"window has {years.size} cohorts, fewer than the "
             f"baseline window {baseline_window}"
         )
-    elevated = values > threshold_ratio * baseline
+    # A threshold that overflows to inf marks no year as elevated.
+    with np.errstate(over="ignore"):
+        elevated = values > threshold_ratio * baseline
     # In the False-padded mask, flips alternate between the first index of
     # an elevated run and the index just past its end.
     edges = np.flatnonzero(np.diff(elevated, prepend=False, append=False)).tolist()
     peaks = [
         Peak(start_year=int(years[start]), end_year=int(years[end - 1]),
-             width_years=end - start, max_cei=float(np.max(values[start:end])))
+             max_cei=float(np.max(values[start:end])))
         for start, end in zip(edges[0::2], edges[1::2])
     ]
     widths = [p.width_years for p in peaks]

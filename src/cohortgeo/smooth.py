@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import QuadratureError
-from .surface import MortalitySurface, Sex, SurfaceGrid
+from .surface import MortalitySurface, SurfaceGrid
 
 _SELF_CHECK_POINTS = 100
 _SELF_CHECK_TOL = 1e-6
@@ -438,9 +438,7 @@ def sample_grid(surface: AnalyticSurface,
 
 
 def materialize_mortality_surface(surface: AnalyticSurface,
-                                  years, ages,
-                                  sex: Sex = Sex.TOTAL,
-                                  source_label: str | None = None) -> MortalitySurface:
+                                  years, ages) -> MortalitySurface:
     """Sample on an integer year/age grid and wrap as a mortality surface.
 
     Values must be nonnegative (mortality-surface invariant); pick catalog
@@ -453,6 +451,5 @@ def materialize_mortality_surface(surface: AnalyticSurface,
         years=years,
         ages=ages,
         rates=np.asarray(z, dtype=float),
-        sex=sex,
-        source_label=source_label if source_label is not None else surface.name,
+        source_label=surface.name,
     )

@@ -46,12 +46,12 @@ def _as_int64_array(values: Iterable[int], what: str) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 1 or arr.size == 0:
         raise StructuralError(f"{what} must be a nonempty 1-D sequence")
-    if arr.dtype.kind != "i":
+    if isinstance(values, list) or arr.dtype.kind != "i":
         # Floats, bools, unsigned ints and Python ints beyond 64 bits (object
-        # arrays). A list's own items are checked and converted, because
-        # numpy rounds a list mixing an int above 2**53 with a float.
+        # arrays). A list's items are always checked: numpy rounds a list mixing
+        # an int above 2**53 with a float, and reads ints mixed with bools as int64.
         items = values if isinstance(values, list) else arr.tolist()
-        if not all(isinstance(v, numbers.Integral)
+        if not all((isinstance(v, numbers.Integral) and not isinstance(v, bool))
                    or (isinstance(v, float) and v.is_integer()) for v in items):
             raise StructuralError(f"{what} must be integers")
         if not all(-2**63 <= v < 2**63 for v in items):

@@ -134,9 +134,8 @@ class TestCEISeriesType:
                       sex=Sex.FEMALE, source_label="src", options_label="opt")
         text = s.to_csv()
         assert text.splitlines()[0] == "birth_year,cei,point_count"
-        again = CEISeries.from_csv(text, sex=Sex.FEMALE, source_label="src",
-                                   options_label="opt")
-        assert again == s
+        again = CEISeries.from_csv(text, source_label="src")
+        assert again == replace(s, sex=None, options_label="")
 
     def test_from_csv_rejects_bad_header(self):
         with pytest.raises(ValueError):
@@ -479,15 +478,33 @@ class TestDetectPeaks:
 
     def test_peak_invariants(self):
         with pytest.raises(ValueError):
-            Peak(start_year=1950, end_year=1940, width_years=-9, max_cei=1.0)
-        with pytest.raises(ValueError):
-            Peak(start_year=1940, end_year=1950, width_years=5, max_cei=1.0)
+            Peak(start_year=1950, end_year=1940, max_cei=1.0)
+        assert Peak(start_year=1940, end_year=1950, max_cei=1.0).width_years == 11
 
     @pytest.mark.parametrize("ratio", [0.0, -1.0, float("nan"), float("inf")])
     def test_threshold_must_be_positive_and_finite(self, ratio):
         s = series_of(np.ones(20), first_year=1900)
         with pytest.raises(ParameterError, match="positive and finite"):
             cg.detect_peaks(s, window=(1900, 1919), threshold_ratio=ratio)
+
+    def test_threshold_overflowing_to_inf_elevates_nothing(self):
+        # 1e308 times the baseline of 2.0 overflows to inf
+        values = np.full(20, 2.0)
+        values[8:11] = 1e300
+        s = series_of(values, first_year=1900)
+        report = cg.detect_peaks(s, window=(1900, 1919), threshold_ratio=1e308)
+        assert report.peaks == ()
+        assert report.min_gap is None and report.max_gap is None
+
+    @pytest.mark.parametrize("width", [11.0, 11.5, True],
+                             ids=["float", "fraction", "bool"])
+    def test_baseline_window_must_be_an_integer(self, width):
+        s = series_of(np.ones(20), first_year=1900)
+        with pytest.raises(ParameterError,
+                           match="^baseline window must be a positive odd integer$"):
+            cg.detect_peaks(s, window=(1900, 1919), baseline_window=width)
+        assert cg.detect_peaks(s, window=(1900, 1919),
+                               baseline_window=np.int64(11)).peaks == ()
 
     def test_hand_built_report_json_keeps_stored_fields(self):
         report = CohortReport(window=(1900, 1950), min_gap=2, max_gap=5)
@@ -523,7 +540,6 @@ def scan_peaks(years, values, baseline_window, threshold_ratio):
             peaks.append(Peak(
                 start_year=int(years[start]),
                 end_year=int(years[k]),
-                width_years=int(k - start + 1),
                 max_cei=float(np.max(values[start:k + 1])),
             ))
         k += 1

@@ -345,6 +345,17 @@ class TestGaps:
         err = capsys.readouterr().err
         assert err == "analytics error: threshold_ratio must be positive and finite\n"
 
+    def test_threshold_overflowing_to_inf_finds_no_peak(self, tmp_path, capsys):
+        path = tmp_path / "ridge.csv"
+        assert run("synthetic", "--shape", "ridge", "--years", "1900:1999",
+                   "--ages", "0:79", "--ridge-center", "1930", "--amplitude", "50",
+                   "-o", str(path)) == 0
+        assert run("gaps", str(path), "--input-format", "csv", "--first-year", "1900",
+                   "--first-age", "0", "--threshold", "1e308", "--format", "json") == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["peaks"] == []
+
 
 class TestSurfaceDump:
     def test_csv_dump(self, ridge_csv, capsys):
@@ -849,6 +860,16 @@ GOLDEN_COMMANDS = {
                       "--ages", "0:25"),
     "synthetic-json": ("synthetic", "--shape", "gompertz", "--years", "1950:1980",
                        "--ages", "0:25", "--format", "json", "-o", "{out}"),
+    "synthetic-bump-csv": ("synthetic", "--shape", "bump", "--years", "1950:1980",
+                           "--ages", "0:25"),
+    "synthetic-plane-csv": ("synthetic", "--shape", "plane", "--years", "1950:1980",
+                            "--ages", "0:25"),
+    "synthetic-ridge-json": ("synthetic", "--shape", "ridge", "--years", "1950:1980",
+                             "--ages", "0:25", "--format", "json"),
+    "synthetic-bump-json": ("synthetic", "--shape", "bump", "--years", "1950:1980",
+                            "--ages", "0:25", "--format", "json"),
+    "synthetic-plane-json": ("synthetic", "--shape", "plane", "--years", "1950:1980",
+                             "--ages", "0:25", "--format", "json"),
     "plot-peaks": ("plot", "{series}", "--title", "ridge", "-o", "{out}"),
     "plot-no-peaks": ("plot", "{series}", "--no-peaks"),
 }
@@ -870,6 +891,11 @@ GOLDEN_OUTPUT_DIGESTS = {
     "surface-json": "ba643eadfd27550f01f8da1826ef36b8b45c5d9a75241899c8b6ef9c5101723a",
     "synthetic-csv": "bb502386f442d21fb0d4e930f79ac0d5a5421ca6fa56c198c50b363c04da878e",
     "synthetic-json": "332ab652ae48819ebce8b53e8a6607c50a118739a0fe0cdf64b916b3616c2989",
+    "synthetic-bump-csv": "85303af5ca848b0d2d0cae9e2b23cc66e2f0051e29cc670f5b59fc47b0bf2ec5",
+    "synthetic-bump-json": "a9354a8c1e9d50363f2e9150cf0f6721d7c55ccd77230990fe38c6a727700af8",
+    "synthetic-plane-csv": "7122caba72e2647d634c61850e318f7eb2edbfb8fcd2fc6e887ae8c11392a928",
+    "synthetic-plane-json": "7e29b8376be15ac43557a9eac6426e8ecf8c3dc6e0bc83d97ed125020928e58e",
+    "synthetic-ridge-json": "518eb6b5667a7c4667573ad52bf423197efb7f9759ea4261357fd80ada3387ce",
 }
 
 

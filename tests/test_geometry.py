@@ -463,6 +463,27 @@ class TestComputeGeometryField:
         f_raw = field_on(z * 50.0)
         assert np.abs(f_opt.normal_curvatures - f_raw.normal_curvatures).max() < 1e-12
 
+    @pytest.mark.parametrize("surf", [
+        smooth.sphere_cap(60.0),
+        smooth.gaussian_bump(8.0, amplitude=5.0),
+        smooth.gaussian_ridge(width=50.0, amplitude=5.0),
+        smooth.gompertz_surface(1e-2, 0.05, 0.02),
+    ], ids=["sphere", "bump", "ridge", "gompertz"])
+    def test_normals_converge_to_the_exact_normal(self, surf):
+        """Over the central 40% of the domain, the largest error against the
+        oracle's upward normal shrinks at least 3.5-fold per halved step:
+        second-order convergence."""
+        (t0, t1), (x0, x1) = surf.domain
+        tc, xc, ht, hx = (t0 + t1) / 2, (x0 + x1) / 2, (t1 - t0) / 5, (x1 - x0) / 5
+        errors = []
+        for step in (1.0, 0.5, 0.25):
+            grid = smooth.sample_grid(surf, tc - ht, tc + ht, xc - hx, xc + hx, step=step)
+            field = cg.compute_geometry_field(grid)
+            exact = surf.normal(grid.t[:, None], grid.x[None, :])
+            assert field.valid[1:-1, 1:-1].all()
+            errors.append(np.abs(field.normals - exact)[field.valid].max())
+        assert errors[0] / errors[1] >= 3.5 and errors[1] / errors[2] >= 3.5, errors
+
     def test_float_grid_spacing_supported(self):
         surf = smooth.gaussian_bump(4.0, center=(0.0, 0.0), domain=((-20, 20), (-20, 20)))
         grid = smooth.sample_grid(surf, -5, 5, -5, 5, step=0.5)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohortgeo import (
+    CEISeries,
     FormatError,
     IngestError,
     MortalitySurface,
@@ -119,6 +120,21 @@ class TestConstruction:
             MortalitySurface(years=[2000, 2001], ages=ages,
                              rates=[[0.1, 0.2], [0.3, 0.4]], sex=Sex.TOTAL,
                              source_label="")
+
+    @pytest.mark.parametrize("build, what", [
+        (lambda: MortalitySurface(years=[False, True], ages=[0, 1],
+                                  rates=[[0.1, 0.2], [0.3, 0.4]]), "years"),
+        (lambda: MortalitySurface(years=[2000, True], ages=[0, 1],
+                                  rates=[[0.1, 0.2], [0.3, 0.4]]), "years"),
+        (lambda: CEISeries(birth_years=[1950, 1951], values=[1.0, 1.0],
+                           point_counts=[True, True]), "point_counts"),
+        (lambda: CEISeries(birth_years=[1950, 1951], values=[1.0, 1.0],
+                           point_counts=np.array([True, True])), "point_counts"),
+    ], ids=["years-bool-list", "years-int-and-bool-list", "counts-bool-list",
+            "counts-bool-array"])
+    def test_booleans_are_not_integers(self, build, what):
+        with pytest.raises(StructuralError, match=f"^{what} must be integers$"):
+            build()
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(StructuralError):
