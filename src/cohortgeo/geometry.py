@@ -208,15 +208,19 @@ class GeometryOptions:
 
     ``z_scale`` multiplies all rates before any geometry; ``log_rates``
     replaces rates by their natural log (nonpositive rates become missing).
-    Defaults reproduce raw-rate geometry on a unit grid.
+    Defaults reproduce raw-rate geometry on a unit grid. ``z_scale`` is
+    stored as a float, so equal options write the same :meth:`label`.
     """
 
     z_scale: float = 1.0
     log_rates: bool = False
 
     def __post_init__(self) -> None:
+        if isinstance(self.z_scale, (bool, np.bool_)):
+            raise ValueError("z_scale must be a number, not a bool")
         if not (self.z_scale > 0 and math.isfinite(self.z_scale)):
             raise ValueError("z_scale must be positive and finite")
+        object.__setattr__(self, "z_scale", float(self.z_scale))
 
     def label(self) -> str:
         parts = [f"z_scale={self.z_scale!r}"]

@@ -83,6 +83,12 @@ def _store_read_only(value: object, **arrays: np.ndarray) -> None:
         object.__setattr__(value, name, view)
 
 
+def _store_sex(value: object) -> None:
+    """Store ``value.sex`` as a :class:`Sex`: the one place a sex name, as
+    the CLI passes it, becomes the member that the emitters write."""
+    object.__setattr__(value, "sex", Sex(value.sex))
+
+
 def _content_eq(self, other: object) -> bool:
     """Equality by content for frozen values holding arrays: arrays by
     :func:`numpy.array_equal` with NaN equal to NaN, other fields by ``==``."""
@@ -174,8 +180,7 @@ class MortalitySurface:
         if negative.any():
             i, j = np.argwhere(negative)[0]
             raise StructuralError(f"negative rate at year {years[i]}, age {ages[j]}")
-        if not isinstance(self.sex, Sex):
-            object.__setattr__(self, "sex", Sex(self.sex))
+        _store_sex(self)
         _store_read_only(self, years=years, ages=ages, rates=rates)
 
     __eq__ = _content_eq

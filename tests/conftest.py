@@ -98,9 +98,11 @@ PLANTED_RIDGE_WIDTH = 1.5  # exp(-(c - cohort)^2 / width), c = year - age
 
 
 def planted_hmd_text(seed: int, amplitude: float, ridge_cohort: int = 1930,
-                     first_year: int = 1900, n_years: int = 110) -> str:
+                     first_year: int = 1900, n_years: int = 110,
+                     radix: float = PLANTED_RADIX) -> str:
     """Seeded HMD Mx 1x1 text, ages 0..110+, with a ridge of relative height
-    ``amplitude`` on birth cohort ``ridge_cohort``."""
+    ``amplitude`` on birth cohort ``ridge_cohort``, for a population whose
+    exposure at age 0 is ``radix``: the smaller it is, the noisier the rates."""
     rng = np.random.default_rng(seed)
     years = np.arange(first_year, first_year + n_years)
     ages = np.arange(PLANTED_N_AGES)
@@ -113,7 +115,7 @@ def planted_hmd_text(seed: int, amplitude: float, ridge_cohort: int = 1930,
         surf = smooth.gompertz_surface(base_rate=base, age_slope=slope,
                                        improvement=improvement, domain=domain)
         z = surf.f(years.astype(float)[:, None], ages.astype(float)[None, :])
-        survivors = PLANTED_RADIX * np.exp(-np.cumsum(z, axis=1) + z)
+        survivors = radix * np.exp(-np.cumsum(z, axis=1) + z)
         sigma = np.minimum(PLANTED_MAX_SIGMA, 1.0 / np.sqrt(z * survivors))
         columns.append(z * np.exp(rng.normal(0.0, 1.0, z.shape) * sigma) * ridge)
     rows = [(year, f"{age}+" if age == PLANTED_N_AGES - 1 else str(age),

@@ -216,6 +216,16 @@ class TestCEISeriesType:
         with pytest.raises(StructuralError, match="^years must be a nonempty 1-D sequence$"):
             cg.MortalitySurface(years=1900, ages=[0], rates=[[1.0]])
 
+    def test_sex_name_is_stored_as_its_member(self):
+        named = CEISeries(birth_years=[1900, 1901], values=[1.0, 2.0],
+                          point_counts=[1, 1], sex="female")
+        member = replace(named, sex=Sex.FEMALE)
+        assert named.sex is Sex.FEMALE
+        assert named.to_json() == member.to_json()
+        assert render_series_chart([named]) == render_series_chart([member])
+        with pytest.raises(ValueError, match="'women' is not a valid Sex"):
+            replace(named, sex="women")
+
     def test_json_structure(self):
         s = series_of([1.0, 2.0], sex=Sex.TOTAL, source_label="lbl")
         obj = json.loads(s.to_json())
@@ -506,12 +516,43 @@ class TestDetectPeaks:
         assert cg.detect_peaks(s, window=(1900, 1919),
                                baseline_window=np.int64(11)).peaks == ()
 
-    def test_hand_built_report_json_keeps_stored_fields(self):
-        report = CohortReport(window=(1900, 1950), min_gap=2, max_gap=5)
+    def test_hand_built_report_works_out_aice_and_gaps(self):
+        peaks = (Peak(1910, 1911, 3.0), Peak(1930, 1936, 5.0))
+        report = CohortReport(window=(np.int64(1900), 1950.0), mean=2.0,
+                              sample_stdev=0.5, peaks=peaks)
         assert json.loads(report.to_json()) == {
-            "window": [1900, 1950], "mean": None, "sample_stdev": None,
-            "aice": None, "peaks": None, "min_gap": 2, "max_gap": 5,
+            "window": [1900, 1950], "mean": 2.0, "sample_stdev": 0.5,
+            "aice": 0.25, "peaks": [
+                {"start_year": 1910, "end_year": 1911, "width_years": 2, "max_cei": 3.0},
+                {"start_year": 1930, "end_year": 1936, "width_years": 7, "max_cei": 5.0}],
+            "min_gap": 2, "max_gap": 7,
         }
+        assert [type(y) for y in report.window] == [int, int]
+        for peaks in (None, ()):
+            bare = CohortReport(window=(1900, 1950), peaks=peaks)
+            assert (bare.aice, bare.min_gap, bare.max_gap) == (None, None, None)
+        for name in ("aice", "min_gap", "max_gap"):
+            with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+                CohortReport(window=(1900, 1950), **{name: 2})
+        with pytest.raises(UndefinedAiceError, match="windowed mean is not positive"):
+            CohortReport(window=(1900, 1950), mean=0.0, sample_stdev=0.0)
+
+    def test_aice_and_gaps_halves_merge_by_replace(self):
+        values = np.linspace(1.0, 2.0, 60)
+        values[10:12] = 5.0   # width 2
+        values[30:37] = 5.0   # width 7
+        s = series_of(values, first_year=1900)
+        window = (1900, 1959)
+        dispersion = cg.aice(s, window)
+        gaps = cg.detect_peaks(s, window, baseline_window=15)
+        merged = replace(dispersion, peaks=gaps.peaks)
+        assert merged == CohortReport(window=window, mean=dispersion.mean,
+                                      sample_stdev=dispersion.sample_stdev,
+                                      peaks=gaps.peaks)
+        assert merged.aice == dispersion.aice == dispersion.sample_stdev / dispersion.mean
+        assert (merged.min_gap, merged.max_gap) == (gaps.min_gap, gaps.max_gap) == (2, 7)
+        assert list(json.loads(merged.to_json())) == [
+            "window", "mean", "sample_stdev", "aice", "peaks", "min_gap", "max_gap"]
 
     def test_report_json(self):
         values = np.ones(40)

@@ -271,6 +271,19 @@ class TestGeometryOptions:
         with pytest.raises(ValueError):
             GeometryOptions(z_scale=-1.0)
 
+    @pytest.mark.parametrize("z_scale", [np.float64(2.0), 2, np.int64(2), np.float32(2.0)],
+                             ids=["float64", "int", "int64", "float32"])
+    def test_equal_options_write_the_same_label(self, z_scale):
+        options = GeometryOptions(z_scale=z_scale, log_rates=True)
+        assert options == GeometryOptions(z_scale=2.0, log_rates=True)
+        assert options.label() == "z_scale=2.0,log_rates"
+        assert type(options.z_scale) is float
+
+    @pytest.mark.parametrize("z_scale", [True, np.True_], ids=["bool", "numpy-bool"])
+    def test_bool_scale_refused(self, z_scale):
+        with pytest.raises(ValueError, match="^z_scale must be a number, not a bool$"):
+            GeometryOptions(z_scale=z_scale)
+
     def test_prepare_grid_log_drops_nonpositive(self):
         s = make_surface([[0.0, 0.2, 0.1]] * 3)
         g = cg.prepare_grid(s, GeometryOptions(log_rates=True))
