@@ -79,7 +79,6 @@ from .surface import (
     SurfaceGrid,
     parse_csv_matrix,
     parse_json,
-    serialize,
 )
 from .svgchart import render_series_chart
 
@@ -125,7 +124,6 @@ __all__ = [
     "parse_json",
     "prepare_grid",
     "render_series_chart",
-    "serialize",
     "trim_series",
     "u_shape_diagnostic",
     "__version__",

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import numbers
 from dataclasses import asdict, dataclass, field, replace
 from typing import Iterator
@@ -35,13 +34,27 @@ from .errors import (
     UndefinedAiceError,
 )
 from .geometry import COHORT, CROSS, GeometryField
-from .surface import (MortalitySurface, Sex, _as_contiguous_int_axis,
-                      _as_int64_array, _content_eq, _store_read_only, _store_sex)
+from .surface import (MortalitySurface, Sex, _as_contiguous_int_axis, _as_int64_array,
+                      _content_eq, _csv_text, _json_text, _store_read_only, _store_sex)
 
 DEFAULT_TRIM_YEAR = 1970
 DEFAULT_WINDOW = (1922, 1970)
 DEFAULT_BASELINE_WINDOW = 11
 DEFAULT_THRESHOLD_RATIO = 1.25
+
+
+def _integer(value: object, error: str) -> int:
+    """``value`` as an int if it is a ``numbers.Integral`` but not a bool, else
+    :class:`ParameterError` with ``error``: a float is refused, not truncated."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ParameterError(error)
+    return int(value)
+
+
+def _window_bounds(window: tuple[int, int]) -> tuple[int, int]:
+    y0, y1 = window
+    error = f"window bounds must be integers, not {window!r}"
+    return _integer(y0, error), _integer(y1, error)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,11 +114,7 @@ class CEISeries:
         return int(self.birth_years[-1])
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["birth_year", "cei", "point_count"])
-        writer.writerows(self)  # csv writes floats with repr
-        return out.getvalue()
+        return _csv_text([("birth_year", "cei", "point_count"), *self])
 
     @classmethod
     def from_csv(cls, text: str, source_label: str = "") -> "CEISeries":
@@ -130,15 +139,14 @@ class CEISeries:
                    source_label=source_label)
 
     def to_json(self) -> str:
-        obj = {
+        return _json_text({
             "sex": self.sex.value if self.sex is not None else None,
             "source_label": self.source_label,
             "options": self.options_label,
             "entries": [
                 {"birth_year": y, "cei": v, "point_count": n} for y, v, n in self
             ],
-        }
-        return json.dumps(obj, indent=2) + "\n"
+        })
 
 
 @dataclass(frozen=True)
@@ -177,8 +185,7 @@ class CohortReport:
     max_gap: int | None = field(init=False)
 
     def __post_init__(self) -> None:
-        y0, y1 = self.window
-        object.__setattr__(self, "window", (int(y0), int(y1)))
+        object.__setattr__(self, "window", _window_bounds(self.window))
         if self.mean is not None and not self.mean > 0.0:
             raise UndefinedAiceError("aice undefined: windowed mean is not positive")
         measured = self.mean is not None and self.sample_stdev is not None
@@ -188,27 +195,21 @@ class CohortReport:
         object.__setattr__(self, "max_gap", max(widths, default=None))
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2) + "\n"
+        return _json_text(asdict(self))
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["key", "value"])
-        writer.writerow(["window_start", self.window[0]])
-        writer.writerow(["window_end", self.window[1]])
+        rows = [("key", "value"), ("window_start", self.window[0]),
+                ("window_end", self.window[1])]
         for key in ("mean", "sample_stdev", "aice"):
             v = getattr(self, key)
-            writer.writerow([key, "" if v is None else repr(float(v))])
+            rows.append((key, None if v is None else float(v)))
         if self.peaks is not None:
-            writer.writerow(["peak_count", len(self.peaks)])
-            for k, p in enumerate(self.peaks):
-                writer.writerow(
-                    [f"peak_{k}", f"{p.start_year}-{p.end_year}"
-                     f" width={p.width_years} max={repr(float(p.max_cei))}"]
-                )
-            writer.writerow(["min_gap", "" if self.min_gap is None else self.min_gap])
-            writer.writerow(["max_gap", "" if self.max_gap is None else self.max_gap])
-        return out.getvalue()
+            rows.append(("peak_count", len(self.peaks)))
+            rows += ((f"peak_{k}", f"{p.start_year}-{p.end_year}"
+                      f" width={p.width_years} max={float(p.max_cei)!r}")
+                     for k, p in enumerate(self.peaks))
+            rows += (("min_gap", self.min_gap), ("max_gap", self.max_gap))
+        return _csv_text(rows)
 
 
 def cei_series(
@@ -269,7 +270,8 @@ def trim_series(series: CEISeries, max_birth_year: int = DEFAULT_TRIM_YEAR) -> C
     The youngest cohorts sit against the grid border where every point is
     zeroed, so an untrimmed series always collapses at its right end.
     """
-    keep = series.birth_years <= int(max_birth_year)
+    keep = series.birth_years <= _integer(
+        max_birth_year, f"max_birth_year must be an integer, not {max_birth_year!r}")
     if not np.any(keep):
         raise EmptySeriesError(
             f"no cohorts at or before {max_birth_year} "
@@ -280,7 +282,7 @@ def trim_series(series: CEISeries, max_birth_year: int = DEFAULT_TRIM_YEAR) -> C
 
 
 def _windowed(series: CEISeries, window: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    y0, y1 = int(window[0]), int(window[1])
+    y0, y1 = _window_bounds(window)
     if y0 > y1:
         raise ParameterError(f"window [{y0}, {y1}] is reversed")
     keep = (series.birth_years >= y0) & (series.birth_years <= y1)
@@ -308,9 +310,9 @@ def aice(series: CEISeries, window: tuple[int, int] = DEFAULT_WINDOW) -> CohortR
 def rolling_median_baseline(values: np.ndarray, width: int) -> np.ndarray:
     """Centered rolling median; the half-window shrinks near the ends so the
     window stays symmetric around each point."""
-    if (not isinstance(width, numbers.Integral) or isinstance(width, bool)
-            or width < 1 or width % 2 == 0):
-        raise ParameterError("baseline window must be a positive odd integer")
+    error = "baseline window must be a positive odd integer"
+    if _integer(width, error) < 1 or width % 2 == 0:
+        raise ParameterError(error)
     v = np.asarray(values, dtype=float)
     n = v.size
     half = width // 2
@@ -386,12 +388,14 @@ def u_shape_diagnostic(series: CEISeries,
     years since its first cohort, so that it stays exact for birth years
     far from 0.
     """
-    keep = series.birth_years >= int(cutoff_year)
+    cutoff_year = _integer(cutoff_year,
+                           f"cutoff_year must be an integer, not {cutoff_year!r}")
+    keep = series.birth_years >= cutoff_year
     years = series.birth_years[keep].astype(float)
     values = series.values[keep]
     n = years.size
     if n == 0:
-        return UShapeReport(cutoff_year=int(cutoff_year), n_points=0,
+        return UShapeReport(cutoff_year=cutoff_year, n_points=0,
                             slope=None, drop_start_year=None)
 
     run_start = n - 1
@@ -409,7 +413,7 @@ def u_shape_diagnostic(series: CEISeries,
     if trend_end >= 2:
         slope = float(np.polyfit(years[:trend_end] - years[0], values[:trend_end], 1)[0])
     return UShapeReport(
-        cutoff_year=int(cutoff_year),
+        cutoff_year=cutoff_year,
         n_points=n,
         slope=slope,
         drop_start_year=drop_start_year,

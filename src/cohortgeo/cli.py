@@ -29,7 +29,7 @@ from .analytics import CEISeries, cei_series, detect_peaks, trim_series
 from .errors import AnalyticsError, GeometryError, IngestError, SampleSizeError
 from .geometry import GeometryOptions, compute_geometry_field
 from .hmd import load_hmd
-from .surface import MortalitySurface, Sex, parse_csv_matrix, serialize
+from .surface import MortalitySurface, Sex, parse_csv_matrix
 from .svgchart import render_series_chart
 
 EXIT_OK = 0
@@ -301,7 +301,8 @@ def main(argv: list[str] | None = None) -> int:
             if lo > hi:
                 raise ValueError(f"--{flag} {lo}:{hi} is reversed")
         if args.command == "synthetic":
-            text = serialize(_synthetic_surface(args), args.output_format)
+            surface = _synthetic_surface(args)
+            text = surface.to_csv() if args.output_format == "csv" else surface.to_json()
         elif args.command == "plot":
             text = cmd_plot(args)
         else:

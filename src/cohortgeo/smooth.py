@@ -270,28 +270,6 @@ def sphere_cap(radius: float, center=(0.0, 0.0), domain=None) -> AnalyticSurface
     )
 
 
-def cylinder_ridge(profile: Callable, profile_d1: Callable, profile_d2: Callable,
-                   name: str = "cylinder_ridge",
-                   domain=((-50.0, 50.0), (-50.0, 50.0))) -> AnalyticSurface:
-    """z = g(t - x): a ridge running along the cohort direction.
-
-    Flat along (1, 1); all bending is across the ridge.
-    """
-    def u(t, x):
-        return np.asarray(t, float) - np.asarray(x, float)
-
-    return AnalyticSurface(
-        name=name,
-        f=lambda t, x: profile(u(t, x)),
-        f_t=lambda t, x: profile_d1(u(t, x)),
-        f_x=lambda t, x: -profile_d1(u(t, x)),
-        f_tt=lambda t, x: profile_d2(u(t, x)),
-        f_tx=lambda t, x: -profile_d2(u(t, x)),
-        f_xx=lambda t, x: profile_d2(u(t, x)),
-        domain=domain,
-    )
-
-
 def _positive_finite(name: str, value: float) -> float:
     v = float(value)
     if not (v > 0 and math.isfinite(v)):
@@ -302,29 +280,35 @@ def _positive_finite(name: str, value: float) -> float:
 def gaussian_ridge(width: float = 50.0, amplitude: float = 1.0,
                    center: float = 0.0,
                    domain=((-50.0, 50.0), (-50.0, 50.0))) -> AnalyticSurface:
-    """Cohort-aligned ridge, profile ``g(u) = amplitude * exp(-(u-center)^2 / width)``.
+    """Cohort-aligned ridge ``z = g(t - x)``, profile
+    ``g(u) = amplitude * exp(-(u-center)^2 / width)``.
 
     ``u = t - x`` is the birth year, so ``center`` is the birth year the
-    ridge sits on. ``width`` must be positive and finite.
+    ridge sits on. Flat along (1, 1); all bending is across the ridge.
+    ``width`` must be positive and finite.
     """
     w = _positive_finite("width", width)
     amp = float(amplitude)
     u0 = float(center)
 
-    def g(u):
-        return amp * np.exp(-((np.asarray(u, float) - u0) ** 2) / w)
+    def u(t, x):
+        return np.asarray(t, float) - np.asarray(x, float)
 
-    def g1(u):
-        u = np.asarray(u, float)
-        return -2.0 * (u - u0) / w * g(u)
+    def g(t, x):
+        return amp * np.exp(-((u(t, x) - u0) ** 2) / w)
 
-    def g2(u):
-        u = np.asarray(u, float)
-        return (4.0 * (u - u0) ** 2 / (w * w) - 2.0 / w) * g(u)
+    def g1(t, x):
+        return -2.0 * (u(t, x) - u0) / w * g(t, x)
 
-    return cylinder_ridge(g, g1, g2,
-                          name=f"gaussian_ridge(width={w},amp={amp},center={u0})",
-                          domain=domain)
+    def g2(t, x):
+        return (4.0 * (u(t, x) - u0) ** 2 / (w * w) - 2.0 / w) * g(t, x)
+
+    return AnalyticSurface(
+        name=f"gaussian_ridge(width={w},amp={amp},center={u0})",
+        f=g, f_t=g1, f_x=lambda t, x: -g1(t, x),
+        f_tt=g2, f_tx=lambda t, x: -g2(t, x), f_xx=g2,
+        domain=domain,
+    )
 
 
 def gaussian_bump(sigma: float, center=(0.0, 0.0), amplitude: float = 1.0,
@@ -369,23 +353,6 @@ def gaussian_bump(sigma: float, center=(0.0, 0.0), amplitude: float = 1.0,
     )
 
 
-def product_separable(u: Callable, du: Callable, d2u: Callable,
-                      v: Callable, dv: Callable, d2v: Callable,
-                      name: str = "product_separable",
-                      domain=((0.0, 100.0), (0.0, 100.0))) -> AnalyticSurface:
-    """z = u(t) * v(x) for scalar profiles with supplied derivatives."""
-    return AnalyticSurface(
-        name=name,
-        f=lambda t, x: u(np.asarray(t, float)) * v(np.asarray(x, float)),
-        f_t=lambda t, x: du(np.asarray(t, float)) * v(np.asarray(x, float)),
-        f_x=lambda t, x: u(np.asarray(t, float)) * dv(np.asarray(x, float)),
-        f_tt=lambda t, x: d2u(np.asarray(t, float)) * v(np.asarray(x, float)),
-        f_tx=lambda t, x: du(np.asarray(t, float)) * dv(np.asarray(x, float)),
-        f_xx=lambda t, x: u(np.asarray(t, float)) * d2v(np.asarray(x, float)),
-        domain=domain,
-    )
-
-
 def gompertz_surface(base_rate: float = 1e-4, age_slope: float = 0.09,
                      improvement: float = 0.01,
                      domain=((1900.0, 2000.0), (0.0, 100.0))) -> AnalyticSurface:
@@ -398,24 +365,17 @@ def gompertz_surface(base_rate: float = 1e-4, age_slope: float = 0.09,
     def u(t):
         return np.exp(-improvement * (np.asarray(t, float) - t_start))
 
-    def du(t):
-        return -improvement * u(t)
-
-    def d2u(t):
-        return improvement * improvement * u(t)
-
     def v(x):
         return base_rate * np.exp(age_slope * np.asarray(x, float))
 
-    def dv(x):
-        return age_slope * v(x)
-
-    def d2v(x):
-        return age_slope * age_slope * v(x)
-
-    return product_separable(
-        u, du, d2u, v, dv, d2v,
+    return AnalyticSurface(
         name=f"gompertz(base={base_rate},age_slope={age_slope},improvement={improvement})",
+        f=lambda t, x: u(t) * v(x),
+        f_t=lambda t, x: (-improvement * u(t)) * v(x),
+        f_x=lambda t, x: u(t) * (age_slope * v(x)),
+        f_tt=lambda t, x: (improvement * improvement * u(t)) * v(x),
+        f_tx=lambda t, x: (-improvement * u(t)) * (age_slope * v(x)),
+        f_xx=lambda t, x: u(t) * (age_slope * age_slope * v(x)),
         domain=domain,
     )
 

@@ -196,6 +196,21 @@ class MortalitySurface:
             z=self.rates,
         )
 
+    def to_csv(self) -> str:
+        """The bare rate matrix; axes, sex and label travel out of band."""
+        return _csv_text(np.where(self.missing_mask, None, self.rates).tolist())
+
+    def to_json(self) -> str:
+        """The self-describing object that :func:`parse_json` reads."""
+        return _json_text({
+            "years": self.years.tolist(),
+            "ages": self.ages.tolist(),
+            "sex": self.sex.value,
+            "source_label": self.source_label,
+            "rates": np.where(self.missing_mask, None, self.rates).tolist(),
+            "missing_mask": self.missing_mask.tolist(),
+        })
+
 
 # --- parsing ----------------------------------------------------------------
 
@@ -260,7 +275,7 @@ def parse_csv_matrix(
 
 
 def parse_json(text: str) -> MortalitySurface:
-    """Parse the JSON serialization produced by :func:`serialize`.
+    """Parse the JSON text that :meth:`MortalitySurface.to_json` writes.
 
     Any other text raises an :class:`IngestError`: :class:`FormatError` for
     invalid JSON, missing keys and values of the wrong type or shape.
@@ -316,31 +331,15 @@ def parse_json(text: str) -> MortalitySurface:
     )
 
 
-# --- serialization ----------------------------------------------------------
+# --- the one text dialect of every product but the field's bulk writer ----
 
-def serialize(surface: MortalitySurface, fmt: str = "csv") -> str:
-    """Serialize a surface to ``csv`` or ``json`` text.
+def _csv_text(rows: Iterable[Iterable]) -> str:
+    """CSV with ``\\n`` line ends, floats by :func:`repr`, None as an empty field."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
 
-    CSV is a bare matrix (metadata travels out of band); JSON is
-    self-describing. Both restore present values bit-exactly and preserve
-    the missing mask on re-parse.
-    """
-    mask = surface.missing_mask
-    # Python floats with None at missing cells; csv writes None as an empty
-    # field and floats with repr, json writes them as null and repr.
-    rows = np.where(mask, None, surface.rates).tolist()
-    if fmt == "csv":
-        out = io.StringIO()
-        csv.writer(out, lineterminator="\n").writerows(rows)
-        return out.getvalue()
-    if fmt == "json":
-        obj = {
-            "years": surface.years.tolist(),
-            "ages": surface.ages.tolist(),
-            "sex": surface.sex.value,
-            "source_label": surface.source_label,
-            "rates": rows,
-            "missing_mask": mask.tolist(),
-        }
-        return json.dumps(obj, indent=2) + "\n"
-    raise ValueError(f"unknown format {fmt!r}; expected 'csv' or 'json'")
+
+def _json_text(obj: object) -> str:
+    """JSON indented by two spaces, with a final newline."""
+    return json.dumps(obj, indent=2) + "\n"

@@ -88,7 +88,7 @@ def dense_hmd_rows(years, ages, rate_fn):
 # The rate model of the benchmark's seeded HMD files, so that tests need not
 # import the bench: Gompertz rates per sex (female, male, total: base rate,
 # age slope, improvement), log-normal jitter whose spread is that of Poisson
-# death counts from a period life table, and a ridge on one birth cohort.
+# death counts from a period life table, and ridges on chosen birth cohorts.
 PLANTED_SEX_PARAMS = ((6e-5, 0.092, 0.011), (1.2e-4, 0.087, 0.009),
                       (9e-5, 0.089, 0.010))
 PLANTED_N_AGES = 111  # ages 0..110, the last one written as 110+
@@ -97,19 +97,20 @@ PLANTED_MAX_SIGMA = 0.3  # cap on the log-scale noise where exposure vanishes
 PLANTED_RIDGE_WIDTH = 1.5  # exp(-(c - cohort)^2 / width), c = year - age
 
 
-def planted_hmd_text(seed: int, amplitude: float, ridge_cohort: int = 1930,
+def planted_hmd_text(seed: int, amplitude: float, ridge_cohorts: tuple[int, ...] = (1930,),
                      first_year: int = 1900, n_years: int = 110,
                      radix: float = PLANTED_RADIX) -> str:
     """Seeded HMD Mx 1x1 text, ages 0..110+, with a ridge of relative height
-    ``amplitude`` on birth cohort ``ridge_cohort``, for a population whose
-    exposure at age 0 is ``radix``: the smaller it is, the noisier the rates."""
+    ``amplitude`` on each birth cohort in ``ridge_cohorts``, for a population
+    whose exposure at age 0 is ``radix``: the smaller it is, the noisier the
+    rates. The ridges add: one ridge's factor is its own term, bit for bit."""
     rng = np.random.default_rng(seed)
     years = np.arange(first_year, first_year + n_years)
     ages = np.arange(PLANTED_N_AGES)
     domain = ((years[0] - 1.0, years[-1] + 1.0), (-1.0, PLANTED_N_AGES + 0.0))
     cohorts = years[:, None] - ages[None, :]
-    ridge = 1.0 + amplitude * np.exp(-((cohorts - ridge_cohort) ** 2)
-                                     / PLANTED_RIDGE_WIDTH)
+    ridge = 1.0 + amplitude * sum(np.exp(-((cohorts - c) ** 2) / PLANTED_RIDGE_WIDTH)
+                                  for c in ridge_cohorts)
     columns = []
     for base, slope, improvement in PLANTED_SEX_PARAMS:
         surf = smooth.gompertz_surface(base_rate=base, age_slope=slope,

@@ -2,8 +2,9 @@
 
 Criteria 5-8 need real HMD country files (license-gated, not bundled) and
 skip with download instructions when the files are absent. Everything else
-runs on synthetic surfaces with analytically known answers, and a seeded
-panel of HMD-shaped files stands in for criterion 06's AICE ordering.
+runs on synthetic surfaces with analytically known answers, and seeded
+HMD-shaped files stand in for criterion 06's AICE ordering and criterion
+07's generation gaps.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from cohortgeo.analytics import (
 from cohortgeo.cli import main as cli_main
 from cohortgeo.geometry import compute_geometry_field, estimate_normal
 from cohortgeo.hmd import load_hmd, parse_hmd
-from cohortgeo.surface import MortalitySurface, Sex, parse_csv_matrix, parse_json, serialize
+from cohortgeo.surface import MortalitySurface, Sex, parse_csv_matrix, parse_json
 from conftest import (
     HMD_COUNTRY_PATTERNS,
     dense_hmd_rows,
@@ -205,6 +206,23 @@ def test_acceptance_07_uk_generation_gaps():
         assert 2 <= report.min_gap <= 4, report.min_gap
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_planted_generation_gaps(seed):
+    """Criterion 07's peak widths on seeded HMD-shaped files with ridges of
+    amplitude 0.3 on cohorts 1930 and 1945 (at 0.1 a ridge's peak splits)."""
+    def report(ridge_cohorts):
+        text = planted_hmd_text(seed, 0.3, ridge_cohorts)
+        surface = parse_hmd(text).surfaces[Sex.TOTAL]
+        field = compute_geometry_field(surface)
+        return detect_peaks(trim_series(cei_series(field, surface)))
+
+    both = report((1930, 1945))
+    ridges = [(p.start_year, p.end_year) for p in both.peaks if p.width_years > 1]
+    assert ridges == [(1927, 1930), (1942, 1945)], both.peaks
+    assert (both.min_gap, both.max_gap) == (1, 4)
+    assert all(p.end_year != 1945 for p in report((1930,)).peaks)
+
+
 def test_acceptance_08_u_shape_rise_and_terminal_drop():
     with criterion(8, "post-1970 cohorts trend upward then hit the data edge"):
         for country in ("UK", "Canada", "US", "Japan"):
@@ -291,9 +309,9 @@ def test_acceptance_10_round_trip_determinism(tmp_path):
         result = parse_hmd(text)
         for sex in Sex:
             original = result.surfaces[sex]
-            assert parse_json(serialize(original, "json")) == original
+            assert parse_json(original.to_json()) == original
             again = parse_csv_matrix(
-                serialize(original, "csv"),
+                original.to_csv(),
                 first_year=int(original.years[0]),
                 first_age=int(original.ages[0]),
                 sex=original.sex,

@@ -398,6 +398,31 @@ class TestAice:
         with pytest.raises(ParameterError):
             cg.aice(s, window=(1932, 1930))
 
+    @pytest.mark.parametrize("year", [1922.9, 1922.0, True],
+                             ids=["fraction", "float", "bool"])
+    def test_birth_year_parameters_must_be_integers(self, year):
+        # truncating (1922.9, 1970) would analyse cohort 1922, below the window
+        s = series_of(np.linspace(1.0, 2.0, 80), first_year=1900)
+        window = f"window bounds must be integers, not {(year, 1970)!r}"
+        for call, message in (
+                (lambda: cg.aice(s, (year, 1970)), window),
+                (lambda: cg.aice(s, (1922, year)),
+                 f"window bounds must be integers, not {(1922, year)!r}"),
+                (lambda: cg.detect_peaks(s, (year, 1970)), window),
+                (lambda: CohortReport(window=(year, 1970)), window),
+                (lambda: cg.trim_series(s, year),
+                 f"max_birth_year must be an integer, not {year!r}"),
+                (lambda: cg.u_shape_diagnostic(s, year),
+                 f"cutoff_year must be an integer, not {year!r}")):
+            with pytest.raises(ParameterError) as exc:
+                call()
+            assert str(exc.value) == message
+        report = cg.aice(s, (np.int64(1922), np.int32(1970)))
+        assert report.window == (1922, 1970)
+        assert [type(y) for y in report.window] == [int, int]
+        assert cg.trim_series(s, np.int64(1950)).last_year == 1950
+        assert cg.u_shape_diagnostic(s, np.int64(1970)).cutoff_year == 1970
+
     def test_scale_examples(self):
         a = cg.aice(series_of([1.0, 2.0, 3.0], first_year=1930), (1930, 1932))
         b = cg.aice(series_of([10.0, 20.0, 30.0], first_year=1930), (1930, 1932))
@@ -518,7 +543,7 @@ class TestDetectPeaks:
 
     def test_hand_built_report_works_out_aice_and_gaps(self):
         peaks = (Peak(1910, 1911, 3.0), Peak(1930, 1936, 5.0))
-        report = CohortReport(window=(np.int64(1900), 1950.0), mean=2.0,
+        report = CohortReport(window=(np.int64(1900), 1950), mean=2.0,
                               sample_stdev=0.5, peaks=peaks)
         assert json.loads(report.to_json()) == {
             "window": [1900, 1950], "mean": 2.0, "sample_stdev": 0.5,

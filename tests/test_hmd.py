@@ -20,7 +20,6 @@ from cohortgeo import (
     load_hmd,
     parse_hmd,
     parse_json,
-    serialize,
 )
 from conftest import make_hmd_text, package_env
 
@@ -360,7 +359,7 @@ class TestAccounting:
 class TestRoundTrip:
     def test_parsed_surface_survives_serialization(self, small_hmd_text):
         total = parse_hmd(small_hmd_text).total
-        assert parse_json(serialize(total, "json")) == total
+        assert parse_json(total.to_json()) == total
 
 
 class TestLoadHmd:

@@ -18,7 +18,7 @@ import pytest
 
 import cohortgeo
 from cohortgeo.cli import main
-from conftest import package_env
+from conftest import package_env, planted_hmd_text
 
 # The pipeline, its types and its errors. The analytic oracle is reached as
 # ``cohortgeo.smooth`` and the scalar reference steps as ``cohortgeo.geometry``.
@@ -26,7 +26,7 @@ PUBLIC_NAMES = {
     "__version__",
     # ingest
     "HmdParseResult", "MortalitySurface", "Sex", "SurfaceGrid",
-    "load_hmd", "parse_csv_matrix", "parse_hmd", "parse_json", "serialize",
+    "load_hmd", "parse_csv_matrix", "parse_hmd", "parse_json",
     # geometry
     "COHORT", "CROSS", "GeometryField", "GeometryOptions",
     "compute_geometry_field", "compute_point_geometry", "prepare_grid",
@@ -51,7 +51,7 @@ def test_all_names_resolve_once():
 
 def test_public_names_are_exactly_the_pipeline():
     assert set(cohortgeo.__all__) == PUBLIC_NAMES
-    assert len(cohortgeo.__all__) == 43
+    assert len(cohortgeo.__all__) == 42
 
 
 def test_oracle_imports_nothing_from_the_kernel():
@@ -294,21 +294,23 @@ def readme_blocks(section: str, language: str) -> list[str]:
 
 
 def test_readme_examples_run(tmp_path, monkeypatch):
-    # Examples on HMD files (license-gated, not bundled) are skipped by name.
+    # The HMD examples read a seeded HMD-shaped file under the README's name.
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "GBRTENW.Mx_1x1.txt").write_text(planted_hmd_text(0, 0.1))
     (commands,) = readme_blocks("Command line", "sh")
     ran = []
     for line in commands.replace("\\\n", " ").splitlines():
         argv = shlex.split(line, comments=True)
-        if argv[:1] != ["cohortgeo"] or any("Mx_1x1" in a for a in argv):
+        if argv[:1] != ["cohortgeo"]:
             continue
         assert main(argv[1:]) == 0, line
         if "-o" in argv:
             assert (tmp_path / argv[argv.index("-o") + 1]).is_file(), line
         ran.append(argv[1])
-    assert ran == ["synthetic", "cei", "plot"]
-    snippets = [b for b in readme_blocks("Library", "python") if "Mx_1x1" not in b]
+    assert ran == ["synthetic", "cei", "plot", "cei", "aice", "gaps", "surface"]
+    snippets = readme_blocks("Library", "python")
     assert [b.split("\n", 1)[0] for b in snippets] == [
-        "from cohortgeo import smooth", "from cohortgeo import geometry"]
+        "from dataclasses import replace", "from cohortgeo import smooth",
+        "from cohortgeo import geometry"]
     for block in snippets:
         exec(compile(block, "README.md", "exec"), {})

@@ -19,7 +19,6 @@ from cohortgeo import (
     StructuralError,
     parse_csv_matrix,
     parse_json,
-    serialize,
 )
 from cohortgeo.surface import SurfaceGrid
 
@@ -240,7 +239,7 @@ class TestCsvMatrix:
 class TestSerialization:
     def test_csv_round_trip_identity(self):
         s = make_surface([[0.1, 0.2], [0.3, 0.4]])
-        text = serialize(s, "csv")
+        text = s.to_csv()
         again = parse_csv_matrix(text, first_year=2000, first_age=0,
                                  sex=s.sex, source_label=s.source_label)
         assert again == s
@@ -248,13 +247,13 @@ class TestSerialization:
     def test_csv_round_trip_awkward_floats(self):
         vals = [[0.1 + 0.2, 1e-17], [1234567.89012345678, 2.0 / 3.0]]
         s = make_surface(vals)
-        again = parse_csv_matrix(serialize(s, "csv"), first_year=2000,
+        again = parse_csv_matrix(s.to_csv(), first_year=2000,
                                  first_age=0, sex=s.sex, source_label=s.source_label)
         assert np.array_equal(again.rates, s.rates)
 
     def test_csv_missing_cell_round_trip(self):
         s = make_surface([[0.1, np.nan], [0.3, 0.4]])
-        text = serialize(s, "csv")
+        text = s.to_csv()
         assert text.splitlines()[0] == "0.1,"  # missing cell is an empty field
         again = parse_csv_matrix(text, first_year=2000, first_age=0,
                                  sex=s.sex, source_label=s.source_label)
@@ -263,25 +262,25 @@ class TestSerialization:
 
     def test_json_round_trip_identity(self):
         s = make_surface([[0.1, np.nan], [0.3, 0.4]], sex=Sex.FEMALE, label="lbl")
-        again = parse_json(serialize(s, "json"))
+        again = parse_json(s.to_json())
         assert again == s
 
     def test_json_schema_keys(self):
         s = make_surface([[0.1, 0.2], [0.3, 0.4]])
-        obj = json.loads(serialize(s, "json"))
+        obj = json.loads(s.to_json())
         for key in ("years", "ages", "sex", "source_label", "rates", "missing_mask"):
             assert key in obj
         assert obj["sex"] == "total"
 
     def test_json_missing_cell_is_null(self):
         s = make_surface([[0.1, np.nan]])
-        obj = json.loads(serialize(s, "json"))
+        obj = json.loads(s.to_json())
         assert obj["rates"][0][1] is None
         assert obj["missing_mask"][0][1] is True
 
     def test_json_inconsistent_mask_rejected(self):
         s = make_surface([[0.1, 0.2]])
-        obj = json.loads(serialize(s, "json"))
+        obj = json.loads(s.to_json())
         obj["missing_mask"][0][0] = True
         with pytest.raises(StructuralError):
             parse_json(json.dumps(obj))
@@ -296,7 +295,7 @@ class TestSerialization:
     ], ids=["sex-other", "sex-null", "rates-number", "rate-string", "rates-ragged",
             "rate-beyond-float"])
     def test_json_wrong_value_types_are_format_errors(self, edit):
-        obj = json.loads(serialize(make_surface([[0.1, 0.2], [0.3, 0.4]]), "json"))
+        obj = json.loads(make_surface([[0.1, 0.2], [0.3, 0.4]]).to_json())
         obj.update(edit)
         with pytest.raises(FormatError, match="malformed surface JSON"):
             parse_json(json.dumps(obj))
@@ -312,7 +311,7 @@ class TestSerialization:
             "mask-zeros", "label-number"])
     def test_json_wrong_item_types_name_their_key(self, edit):
         # each of these used to be read as a number, a mask or a label
-        obj = json.loads(serialize(make_surface([[0.1, 0.2], [0.3, 0.4]]), "json"))
+        obj = json.loads(make_surface([[0.1, 0.2], [0.3, 0.4]]).to_json())
         obj.update(edit)
         (key,) = edit
         with pytest.raises(FormatError, match=f"^malformed surface JSON: {key} must be "):
@@ -326,11 +325,6 @@ class TestSerialization:
     def test_json_nested_beyond_recursion_limit_rejected(self):
         with pytest.raises(FormatError, match="invalid JSON"):
             parse_json("[" * 100_000 + "]" * 100_000)
-
-    def test_unknown_format(self):
-        s = make_surface([[0.1, 0.2]])
-        with pytest.raises(ValueError):
-            serialize(s, "xml")
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -346,7 +340,7 @@ class TestSerialization:
         if np.isnan(rates).all():
             rates[0, 0] = 0.5
         s = make_surface(rates, first_year=1900, sex=Sex.MALE, label="prop")
-        text = serialize(s, fmt)
+        text = getattr(s, f"to_{fmt}")()
         if fmt == "csv":
             again = parse_csv_matrix(text, first_year=1900, first_age=0,
                                      sex=Sex.MALE, source_label="prop")
@@ -356,7 +350,7 @@ class TestSerialization:
 
 
 class TestSerializeGoldenBytes:
-    """sha256 digests of :func:`serialize` output. They pin every byte:
+    """sha256 digests of ``MortalitySurface.to_csv``/``to_json`` output. They pin every byte:
     float repr, empty and quoted missing cells, key order and escaping."""
 
     DIGESTS = {
@@ -379,7 +373,7 @@ class TestSerializeGoldenBytes:
 
     @pytest.mark.parametrize("name, fmt", sorted(DIGESTS))
     def test_digest(self, name, fmt):
-        text = serialize(self.surface(name), fmt)
+        text = getattr(self.surface(name), f"to_{fmt}")()
         assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[name, fmt]
 
 
@@ -448,7 +442,7 @@ def _mutated_surface_json(draw) -> str:
     """A valid surface's JSON with keys dropped or values replaced at the top,
     row or cell level, then optionally spliced as text."""
     surface = make_surface([[0.1, np.nan, 0.3], [0.4, 0.5, 0.6]], label="m")
-    obj = json.loads(serialize(surface, "json"))
+    obj = json.loads(surface.to_json())
     for _ in range(draw(st.integers(1, 3))):
         if not obj:
             break

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 import cohortgeo
-from cohortgeo import CohortReport, Sex, serialize
+from cohortgeo import CohortReport, Sex
 
 from conftest import planted_hmd_text
 
@@ -38,7 +38,7 @@ def test_every_layer_records_a_span(tmp_path):
     restore = spans.instrument(rec)
     try:
         surface = cohortgeo.load_hmd(path, Sex.TOTAL)
-        cohortgeo.parse_csv_matrix(serialize(surface), first_year=1900, first_age=0)
+        cohortgeo.parse_csv_matrix(surface.to_csv(), first_year=1900, first_age=0)
         field = cohortgeo.compute_geometry_field(surface)
         field.to_csv()
         field.to_json()
