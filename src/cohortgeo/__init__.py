@@ -57,7 +57,6 @@ from .errors import (
     GeometryError,
     IngestError,
     ParameterError,
-    QuadratureError,
     SampleSizeError,
     StructuralError,
     SurfaceSizeError,
@@ -105,7 +104,6 @@ __all__ = [
     "MortalitySurface",
     "ParameterError",
     "Peak",
-    "QuadratureError",
     "SampleSizeError",
     "Sex",
     "StructuralError",

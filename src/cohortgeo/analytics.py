@@ -159,9 +159,14 @@ class Peak:
     max_cei: float
 
     def __post_init__(self) -> None:
-        if self.start_year > self.end_year:
+        error = f"peak years must be integers, not {(self.start_year, self.end_year)!r}"
+        start, end = _integer(self.start_year, error), _integer(self.end_year, error)
+        if start > end:
             raise ValueError("peak start must not exceed end")
-        object.__setattr__(self, "width_years", self.end_year - self.start_year + 1)
+        object.__setattr__(self, "start_year", start)
+        object.__setattr__(self, "end_year", end)
+        object.__setattr__(self, "width_years", end - start + 1)
+        object.__setattr__(self, "max_cei", float(self.max_cei))
 
 
 @dataclass(frozen=True)
@@ -186,6 +191,9 @@ class CohortReport:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "window", _window_bounds(self.window))
+        for key in ("mean", "sample_stdev"):
+            if getattr(self, key) is not None:
+                object.__setattr__(self, key, float(getattr(self, key)))
         if self.mean is not None and not self.mean > 0.0:
             raise UndefinedAiceError("aice undefined: windowed mean is not positive")
         measured = self.mean is not None and self.sample_stdev is not None
@@ -200,13 +208,11 @@ class CohortReport:
     def to_csv(self) -> str:
         rows = [("key", "value"), ("window_start", self.window[0]),
                 ("window_end", self.window[1])]
-        for key in ("mean", "sample_stdev", "aice"):
-            v = getattr(self, key)
-            rows.append((key, None if v is None else float(v)))
+        rows += ((key, getattr(self, key)) for key in ("mean", "sample_stdev", "aice"))
         if self.peaks is not None:
             rows.append(("peak_count", len(self.peaks)))
             rows += ((f"peak_{k}", f"{p.start_year}-{p.end_year}"
-                      f" width={p.width_years} max={float(p.max_cei)!r}")
+                      f" width={p.width_years} max={p.max_cei!r}")
                      for k, p in enumerate(self.peaks))
             rows += (("min_gap", self.min_gap), ("max_gap", self.max_gap))
         return _csv_text(rows)
@@ -281,12 +287,14 @@ def trim_series(series: CEISeries, max_birth_year: int = DEFAULT_TRIM_YEAR) -> C
                    values=series.values[keep], point_counts=series.point_counts[keep])
 
 
-def _windowed(series: CEISeries, window: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+def _windowed(series: CEISeries, window: tuple[int, int]
+              ) -> tuple[tuple[int, int], np.ndarray, np.ndarray]:
+    """The checked int bounds of ``window`` and the years and values in it."""
     y0, y1 = _window_bounds(window)
     if y0 > y1:
         raise ParameterError(f"window [{y0}, {y1}] is reversed")
     keep = (series.birth_years >= y0) & (series.birth_years <= y1)
-    return series.birth_years[keep], series.values[keep]
+    return (y0, y1), series.birth_years[keep], series.values[keep]
 
 
 def aice(series: CEISeries, window: tuple[int, int] = DEFAULT_WINDOW) -> CohortReport:
@@ -298,13 +306,13 @@ def aice(series: CEISeries, window: tuple[int, int] = DEFAULT_WINDOW) -> CohortR
     ranks cohort effects only between files of similar population size and
     calendar span, whose noise and point sets move it as much as the effect.
     """
-    years, values = _windowed(series, window)
+    window, years, values = _windowed(series, window)
     if years.size < 2:
         raise SampleSizeError(
             f"aice needs at least 2 cohorts in window {window}, got {years.size}"
         )
-    return CohortReport(window=window, mean=float(np.mean(values)),
-                        sample_stdev=float(np.std(values, ddof=1)))
+    return CohortReport(window=window, mean=np.mean(values),
+                        sample_stdev=np.std(values, ddof=1))
 
 
 def rolling_median_baseline(values: np.ndarray, width: int) -> np.ndarray:
@@ -340,7 +348,7 @@ def detect_peaks(
     """
     if not (0 < threshold_ratio < np.inf):
         raise ParameterError("threshold_ratio must be positive and finite")
-    years, values = _windowed(series, window)
+    window, years, values = _windowed(series, window)
     baseline = rolling_median_baseline(values, baseline_window)
     if years.size == 0:
         raise SampleSizeError(f"window {window} contains no cohorts")
@@ -356,8 +364,8 @@ def detect_peaks(
     # an elevated run and the index just past its end.
     edges = np.flatnonzero(np.diff(elevated, prepend=False, append=False)).tolist()
     return CohortReport(window=window, peaks=tuple(
-        Peak(start_year=int(years[start]), end_year=int(years[end - 1]),
-             max_cei=float(np.max(values[start:end])))
+        Peak(start_year=years[start], end_year=years[end - 1],
+             max_cei=np.max(values[start:end]))
         for start, end in zip(edges[0::2], edges[1::2])
     ))
 
@@ -394,10 +402,6 @@ def u_shape_diagnostic(series: CEISeries,
     years = series.birth_years[keep].astype(float)
     values = series.values[keep]
     n = years.size
-    if n == 0:
-        return UShapeReport(cutoff_year=cutoff_year, n_points=0,
-                            slope=None, drop_start_year=None)
-
     run_start = n - 1
     while run_start > 0 and values[run_start - 1] > values[run_start]:
         run_start -= 1

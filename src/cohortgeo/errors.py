@@ -71,7 +71,7 @@ class EmptySeriesError(AnalyticsError):
 
 
 class UndefinedAiceError(AnalyticsError):
-    """Coefficient of variation is undefined (windowed mean is zero)."""
+    """Coefficient of variation is undefined (windowed mean not positive, or NaN)."""
 
 
 class SampleSizeError(AnalyticsError):
@@ -81,7 +81,3 @@ class SampleSizeError(AnalyticsError):
 
 class ParameterError(AnalyticsError):
     """Invalid analysis parameters (reversed window, even baseline width, ...)."""
-
-
-class QuadratureError(CohortGeoError):
-    """Adaptive quadrature failed to converge within the refinement budget."""

@@ -209,7 +209,8 @@ class GeometryOptions:
     ``z_scale`` multiplies all rates before any geometry; ``log_rates``
     replaces rates by their natural log (nonpositive rates become missing).
     Defaults reproduce raw-rate geometry on a unit grid. ``z_scale`` is
-    stored as a float, so equal options write the same :meth:`label`.
+    stored as a float and ``log_rates`` as a bool, so equal options write
+    the same :meth:`label`.
     """
 
     z_scale: float = 1.0
@@ -220,7 +221,10 @@ class GeometryOptions:
             raise ValueError("z_scale must be a number, not a bool")
         if not (self.z_scale > 0 and math.isfinite(self.z_scale)):
             raise ValueError("z_scale must be positive and finite")
+        if not isinstance(self.log_rates, (bool, np.bool_)):
+            raise ValueError("log_rates must be a bool")
         object.__setattr__(self, "z_scale", float(self.z_scale))
+        object.__setattr__(self, "log_rates", bool(self.log_rates))
 
     def label(self) -> str:
         parts = [f"z_scale={self.z_scale!r}"]
@@ -236,7 +240,8 @@ def prepare_grid(surface: MortalitySurface | SurfaceGrid,
     Raises :class:`StructuralError` if ``z_scale`` overflows a rate, or
     underflows a nonzero rate to zero or to a subnormal value.
     """
-    grid = surface.to_grid()
+    grid = surface if isinstance(surface, SurfaceGrid) else SurfaceGrid(
+        t=surface.years.astype(float), x=surface.ages.astype(float), z=surface.rates)
     options = options or GeometryOptions()
     if options.z_scale == 1.0 and not options.log_rates:
         return grid

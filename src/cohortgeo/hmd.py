@@ -18,7 +18,7 @@ are its slices.
 
 The parser is total over valid files: every line is either consumed as
 title/blank/header/data or triggers an error naming its line number, and
-the returned row accounting lets callers verify nothing was dropped.
+each data row fills one grid cell, so the row counts follow from the grid.
 """
 
 from __future__ import annotations
@@ -38,17 +38,22 @@ _HEADER_COLUMNS = ("Year", "Age", "Female", "Male", "Total")
 
 @dataclass(frozen=True)
 class HmdParseResult:
-    """Three per-sex surfaces, in a read-only mapping, plus row accounting."""
+    """Three per-sex surfaces, in a read-only mapping, and the line count."""
 
     surfaces: Mapping[Sex, MortalitySurface]
-    title: str
     line_count: int
-    data_row_count: int
-    skipped_blank_lines: int
 
     @property
     def total(self) -> MortalitySurface:
         return self.surfaces[Sex.TOTAL]
+
+    @property
+    def data_row_count(self) -> int:
+        return self.total.rates.size
+
+    @property
+    def skipped_blank_lines(self) -> int:
+        return self.line_count - 3 - self.data_row_count
 
 
 def _parse_age(token: str, lineno: int) -> int:
@@ -82,11 +87,9 @@ def parse_hmd(text: str) -> HmdParseResult:
         )
 
     rows: dict[tuple[int, int], tuple[float, float, float]] = {}
-    skipped_blank = 0
     for lineno, line in enumerate(lines[3:], start=4):
         tokens = line.split()
         if not tokens:
-            skipped_blank += 1
             continue
         if len(tokens) != 5:
             raise FormatError(
@@ -145,13 +148,7 @@ def parse_hmd(text: str) -> HmdParseResult:
         )
         for k, sex in enumerate(Sex)
     })
-    return HmdParseResult(
-        surfaces=surfaces,
-        title=title,
-        line_count=len(lines),
-        data_row_count=len(rows),
-        skipped_blank_lines=skipped_blank,
-    )
+    return HmdParseResult(surfaces=surfaces, line_count=len(lines))
 
 
 def load_hmd(path: str | Path, sex: Sex | str) -> MortalitySurface:

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import CohortGeoError
 from .surface import MortalitySurface, SurfaceGrid
 
 _SELF_CHECK_POINTS = 100
@@ -35,6 +35,10 @@ _FD_STEP1 = 1e-4
 _FD_STEP2 = 2e-3
 
 ScalarField = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+class QuadratureError(CohortGeoError):
+    """Adaptive quadrature failed to converge within the refinement budget."""
 
 
 @dataclass(frozen=True)

@@ -66,7 +66,7 @@ def _as_contiguous_int_axis(values: Iterable[int], what: str) -> np.ndarray:
     # The last test catches steps of 1 that wrapped around the int64 range.
     if arr.size > 1 and not (np.all(np.diff(arr) == 1) and arr[-1] > arr[0]):
         raise StructuralError(f"{what} must be strictly increasing with step 1")
-    # Axes become float64 (to_grid, charts), which holds every integer up to 2**53.
+    # Axes become float64 (prepare_grid, charts), which holds every integer up to 2**53.
     if arr[0] < -2**53 or arr[-1] > 2**53:
         raise StructuralError(f"{what} must not exceed 2**53 in magnitude "
                               "(the exact integer range of a float)")
@@ -104,8 +104,8 @@ class SurfaceGrid:
     """Plain geometric grid: real coordinate axes plus a value matrix.
 
     This is the structure the curvature kernel actually consumes. Mortality
-    surfaces convert to it via :meth:`MortalitySurface.to_grid`; synthetic
-    test surfaces may build it directly with non-integer spacing. NaN cells
+    surfaces convert to it via ``geometry.prepare_grid``; synthetic test
+    surfaces may build it directly with non-integer spacing. NaN cells
     are missing. Like :class:`MortalitySurface`, it stores read-only views
     of float input, not copies.
     """
@@ -141,9 +141,6 @@ class SurfaceGrid:
     def shape(self) -> tuple[int, int]:
         return self.z.shape
 
-    def to_grid(self) -> "SurfaceGrid":
-        return self
-
 
 @dataclass(frozen=True, eq=False)
 class MortalitySurface:
@@ -153,7 +150,7 @@ class MortalitySurface:
     missing cells. The open age group ("110+" in HMD files) is stored as a
     regular age-110 column. Construction validates all invariants and
     stores read-only views of the axes and rates, so a write through the
-    surface raises ``ValueError`` and :meth:`to_grid` shares the rates
+    surface raises ``ValueError`` and ``prepare_grid`` shares the rates
     instead of copying them. The views are not copies: a caller who keeps
     a writeable reference to the ``rates`` passed in must not change it.
     """
@@ -188,13 +185,6 @@ class MortalitySurface:
     @property
     def missing_mask(self) -> np.ndarray:
         return np.isnan(self.rates)
-
-    def to_grid(self) -> SurfaceGrid:
-        return SurfaceGrid(
-            t=self.years.astype(float),
-            x=self.ages.astype(float),
-            z=self.rates,
-        )
 
     def to_csv(self) -> str:
         """The bare rate matrix; axes, sex and label travel out of band."""

@@ -363,8 +363,8 @@ class TestTrim:
         from cohortgeo.analytics import _windowed
 
         s = series_of(np.linspace(1, 3, 80), first_year=1920)
-        inner_years, _ = _windowed(s, (1940, 1950))
-        outer_years, _ = _windowed(s, (1935, 1955))
+        _, inner_years, _ = _windowed(s, (1940, 1950))
+        _, outer_years, _ = _windowed(s, (1935, 1955))
         assert set(inner_years) <= set(outer_years)
 
 
@@ -562,6 +562,36 @@ class TestDetectPeaks:
         with pytest.raises(UndefinedAiceError, match="windowed mean is not positive"):
             CohortReport(window=(1900, 1950), mean=0.0, sample_stdev=0.0)
 
+    def test_report_and_peaks_store_plain_numbers(self):
+        report = CohortReport(window=(1900, 1950), mean=2, sample_stdev=1)
+        assert "\nmean,2.0\n" in report.to_csv()
+        assert '"mean": 2.0,' in report.to_json()
+        peak = Peak(np.int64(1900), np.int64(1902), np.float32(0.5))
+        assert [type(v) for v in (peak.start_year, peak.end_year, peak.max_cei)] == [
+            int, int, float]
+        report = CohortReport(window=(1900, 1950), mean=np.float32(0.5),
+                              sample_stdev=np.float64(0.25), peaks=(peak,))
+        assert json.loads(report.to_json()) == {
+            "window": [1900, 1950], "mean": 0.5, "sample_stdev": 0.25, "aice": 0.5,
+            "peaks": [{"start_year": 1900, "end_year": 1902, "width_years": 3,
+                       "max_cei": 0.5}],
+            "min_gap": 3, "max_gap": 3,
+        }
+
+    @pytest.mark.parametrize("years", [(1900.5, 1902), (1900, 1902.0), (True, 1902)],
+                             ids=["fraction", "float", "bool"])
+    def test_peak_years_must_be_integers(self, years):
+        with pytest.raises(ParameterError,
+                           match=r"^peak years must be integers, not \("):
+            Peak(*years, 1.0)
+
+    @pytest.mark.parametrize("summary", [cg.aice, cg.detect_peaks])
+    def test_empty_window_named_by_int_bounds(self, summary):
+        s = series_of(np.ones(20), first_year=1900)
+        with pytest.raises(SampleSizeError, match=r"window \(1990, 1995\) contains no|"
+                           r"in window \(1990, 1995\), got 0$"):
+            summary(s, window=(np.int64(1990), np.int64(1995)))
+
     def test_aice_and_gaps_halves_merge_by_replace(self):
         values = np.linspace(1.0, 2.0, 60)
         values[10:12] = 5.0   # width 2
@@ -659,6 +689,7 @@ class TestUShape:
         report = cg.u_shape_diagnostic(s, cutoff_year=1970)
         assert report.n_points == 0
         assert report.slope is None
+        assert report.drop_start_year is None
 
     def test_mild_decline_not_flagged(self):
         # terminal sag that loses less than half its height is not a cliff

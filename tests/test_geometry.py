@@ -284,6 +284,16 @@ class TestGeometryOptions:
         with pytest.raises(ValueError, match="^z_scale must be a number, not a bool$"):
             GeometryOptions(z_scale=z_scale)
 
+    @pytest.mark.parametrize("log_rates", ["no", 1, None], ids=["str", "int", "none"])
+    def test_non_bool_log_rates_refused(self, log_rates):
+        with pytest.raises(ValueError, match="^log_rates must be a bool$"):
+            GeometryOptions(log_rates=log_rates)
+
+    def test_numpy_bool_log_rates_stored_as_bool(self):
+        options = GeometryOptions(log_rates=np.True_)
+        assert options == GeometryOptions(log_rates=True)
+        assert type(options.log_rates) is bool
+
     def test_prepare_grid_log_drops_nonpositive(self):
         s = make_surface([[0.0, 0.2, 0.1]] * 3)
         g = cg.prepare_grid(s, GeometryOptions(log_rates=True))
@@ -362,7 +372,7 @@ class TestComputeGeometryField:
 
     @pytest.mark.parametrize("i, j", [(0, 1), (1, 0), (3, 1), (1, 2)])
     def test_point_geometry_refuses_border_points(self, i, j):
-        grid = make_surface(np.ones((4, 3))).to_grid()
+        grid = cg.prepare_grid(make_surface(np.ones((4, 3))))
         with pytest.raises(SurfaceSizeError) as exc:
             cg.compute_point_geometry(grid, i, j)
         assert str(exc.value) == f"({i}, {j}) is not interior to the grid"
@@ -771,6 +781,11 @@ def test_prepare_grid_shares_the_surface_rates():
         tracemalloc.stop()
     assert np.shares_memory(grid.z, surface.rates)
     assert peak < 2e6
+
+
+def test_prepare_grid_passes_a_grid_through():
+    grid = SurfaceGrid(t=np.arange(3) * 0.5, x=np.arange(4.0), z=np.ones((3, 4)))
+    assert cg.prepare_grid(grid) is grid
 
 
 class TestFieldStorage:

@@ -64,8 +64,7 @@ class TestColumnMapping:
         text = make_hmd_text([(2000, 0, "0.1", "0.1", "0.1")],
                              title="Atlantis, Death rates (period 1x1)")
         result = parse_hmd(text)
-        assert result.title == "Atlantis, Death rates (period 1x1)"
-        assert result.total.source_label == result.title
+        assert result.total.source_label == "Atlantis, Death rates (period 1x1)"
 
 
 class TestFormatErrors:
@@ -282,8 +281,13 @@ class TestProperties:
         except IngestError:
             return
         assert isinstance(result, HmdParseResult)
+        lines = text.splitlines()
         assert result.data_row_count == result.total.rates.size
-        assert result.line_count == len(text.splitlines())
+        assert result.line_count == len(lines)
+        assert result.line_count == (3 + result.data_row_count
+                                     + result.skipped_blank_lines)
+        assert result.skipped_blank_lines == sum(not line.split() for line in lines[3:])
+        assert {s.source_label for s in result.surfaces.values()} == {lines[0].strip()}
 
     @settings(max_examples=60, deadline=None)
     @given(_valid_rows(), st.data())

@@ -37,7 +37,7 @@ PUBLIC_NAMES = {
     "CohortGeoError", "IngestError", "FormatError", "StructuralError",
     "GeometryError", "AmbiguousNormalError", "DegenerateStencilError",
     "DegenerateTangentError", "SurfaceSizeError", "AnalyticsError",
-    "ConsistencyError", "EmptySeriesError", "ParameterError", "QuadratureError",
+    "ConsistencyError", "EmptySeriesError", "ParameterError",
     "SampleSizeError", "UndefinedAiceError",
 }
 
@@ -51,7 +51,13 @@ def test_all_names_resolve_once():
 
 def test_public_names_are_exactly_the_pipeline():
     assert set(cohortgeo.__all__) == PUBLIC_NAMES
-    assert len(cohortgeo.__all__) == 42
+    assert len(cohortgeo.__all__) == 41
+
+
+def test_public_names_hold_nothing_of_the_oracle():
+    modules = {getattr(getattr(cohortgeo, name), "__module__", None)
+               for name in cohortgeo.__all__}
+    assert "cohortgeo.analytics" in modules and "cohortgeo.smooth" not in modules
 
 
 def test_oracle_imports_nothing_from_the_kernel():

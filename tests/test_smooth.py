@@ -9,8 +9,8 @@ import pytest
 from scipy.integrate import quad
 
 import cohortgeo as cg
-from cohortgeo import QuadratureError, smooth
-from cohortgeo.smooth import AnalyticSurface
+from cohortgeo import smooth
+from cohortgeo.smooth import AnalyticSurface, QuadratureError
 
 
 class TestSelfCheck:

@@ -19,6 +19,7 @@ from cohortgeo import (
     StructuralError,
     parse_csv_matrix,
     parse_json,
+    prepare_grid,
 )
 from cohortgeo.surface import SurfaceGrid
 
@@ -111,7 +112,7 @@ class TestConstruction:
         s = MortalitySurface(years=years, ages=[0, 1],
                              rates=[[0.1, 0.2], [0.3, 0.4]], sex=Sex.TOTAL,
                              source_label="")
-        assert list(s.to_grid().t) == [float(y) for y in years]
+        assert list(prepare_grid(s).t) == [float(y) for y in years]
 
     @pytest.mark.parametrize("ages", [["0", "1"], [0, None]])
     def test_non_numeric_ages_rejected(self, ages):
@@ -171,11 +172,11 @@ class TestConstruction:
         assert s == make_surface(s.rates)
         assert s != make_surface(s.rates, first_year=2001)
         assert s != make_surface(s.rates, sex=Sex.MALE)
-        assert s != s.to_grid()
+        assert s != prepare_grid(s)
 
     def test_to_grid_float_axes(self):
         s = make_surface([[0.1, np.nan], [0.3, 0.4]])
-        g = s.to_grid()
+        g = prepare_grid(s)
         assert isinstance(g, SurfaceGrid)
         assert g.t.dtype.kind == "f"
         assert np.isnan(g.z[0, 1])
