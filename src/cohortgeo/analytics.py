@@ -176,9 +176,10 @@ class CohortReport:
     Stores what :func:`aice` (``mean``, ``sample_stdev``) and
     :func:`detect_peaks` (``peaks``) measure; the other half stays None,
     and ``replace(a, peaks=p.peaks)`` merges them. ``aice`` is worked out
-    as ``sample_stdev / mean`` (a mean that is not positive raises
-    :class:`UndefinedAiceError`), ``min_gap``/``max_gap`` as the extreme
-    peak widths in years, None without peaks.
+    as ``sample_stdev / mean`` (a mean that is not positive, or a mean or
+    stdev that is not finite, raises :class:`UndefinedAiceError`),
+    ``min_gap``/``max_gap`` as the extreme peak widths in years, None
+    without peaks.
     """
 
     window: tuple[int, int]
@@ -196,6 +197,8 @@ class CohortReport:
                 object.__setattr__(self, key, float(getattr(self, key)))
         if self.mean is not None and not self.mean > 0.0:
             raise UndefinedAiceError("aice undefined: windowed mean is not positive")
+        if not all(np.isfinite(v) for v in (self.mean, self.sample_stdev) if v is not None):
+            raise UndefinedAiceError("aice undefined: windowed mean or stdev is not finite")
         measured = self.mean is not None and self.sample_stdev is not None
         object.__setattr__(self, "aice", self.sample_stdev / self.mean if measured else None)
         widths = [p.width_years for p in self.peaks or ()]
@@ -311,8 +314,9 @@ def aice(series: CEISeries, window: tuple[int, int] = DEFAULT_WINDOW) -> CohortR
         raise SampleSizeError(
             f"aice needs at least 2 cohorts in window {window}, got {years.size}"
         )
-    return CohortReport(window=window, mean=np.mean(values),
-                        sample_stdev=np.std(values, ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):  # the report refuses inf/NaN
+        mean, stdev = np.mean(values), np.std(values, ddof=1)
+    return CohortReport(window=window, mean=mean, sample_stdev=stdev)
 
 
 def rolling_median_baseline(values: np.ndarray, width: int) -> np.ndarray:
@@ -346,7 +350,8 @@ def detect_peaks(
     Malformed options raise :class:`ParameterError`, checked before a window
     with fewer than ``baseline_window`` cohorts raises :class:`SampleSizeError`.
     """
-    if not (0 < threshold_ratio < np.inf):
+    if (not isinstance(threshold_ratio, numbers.Real) or isinstance(threshold_ratio, bool)
+            or not 0 < threshold_ratio < np.inf):
         raise ParameterError("threshold_ratio must be positive and finite")
     window, years, values = _windowed(series, window)
     baseline = rolling_median_baseline(values, baseline_window)

@@ -2,8 +2,9 @@
 kernel, aggregate per cohort, and export series/reports/charts.
 
 ``cei``, ``aice``, ``gaps`` and ``surface`` run one path
-(:func:`_run_pipeline`) that reads the parsed arguments directly; every
-subcommand builds its output as text and :func:`main` writes it once.
+(:func:`_run_pipeline`) that reads the parsed arguments directly. Each
+subcommand returns its product (a surface, series, report or field, or SVG
+text), and :func:`main` formats it by ``--format`` and writes it once.
 
 Exit codes: 0 success, 2 input or configuration problems (including any
 ``OSError`` from reading input or writing output, a reversed
@@ -21,6 +22,7 @@ import argparse
 import os
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -98,10 +100,9 @@ def _add_peak_args(p: argparse.ArgumentParser) -> None:
                    help="peak threshold over baseline (default: %(default)s)")
 
 
-def _add_output_args(p: argparse.ArgumentParser, formats: tuple[str, ...],
-                     default: str) -> None:
-    p.add_argument("--format", choices=formats, default=default,
-                   dest="output_format", help=f"output format (default: {default})")
+def _add_output_args(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
+    p.add_argument("--format", choices=formats, default="csv",
+                   dest="output_format", help="output format (default: csv)")
     p.add_argument("-o", "--output", default=None, dest="output_path",
                    help="output file (default: stdout)")
 
@@ -125,12 +126,12 @@ def build_parser() -> argparse.ArgumentParser:
         _add_window_args(p)
         if name == "gaps":
             _add_peak_args(p)
-        _add_output_args(p, formats, "csv")
+        _add_output_args(p, formats)
 
     p_surface = sub.add_parser("surface", help="dump the pointwise geometry field")
     _add_input_args(p_surface)
     _add_geometry_args(p_surface)
-    _add_output_args(p_surface, ("csv", "json"), "csv")
+    _add_output_args(p_surface, ("csv", "json"))
 
     p_syn = sub.add_parser("synthetic", help="materialize a synthetic surface")
     p_syn.add_argument("--shape", required=True,
@@ -155,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_syn.add_argument("--base-rate", type=float, default=1e-4)
     p_syn.add_argument("--age-slope", type=float, default=0.09)
     p_syn.add_argument("--improvement", type=float, default=0.01)
-    _add_output_args(p_syn, ("csv", "json"), "csv")
+    _add_output_args(p_syn, ("csv", "json"))
 
     p_plot = sub.add_parser("plot", help="render series CSV files to an SVG chart")
     p_plot.add_argument("inputs", nargs="+", help="series CSV files")
@@ -173,18 +174,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_output_path(path: str) -> str:
-    base = os.environ.get(_OUTPUT_DIR_ENV)
-    if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
-
-
 def _emit(text: str, output_path: str | None) -> None:
     if output_path is None:
         sys.stdout.write(text)
         return
-    target = _resolve_output_path(output_path)
+    # join keeps an absolute path as it is and an empty base adds nothing
+    target = os.path.join(os.environ.get(_OUTPUT_DIR_ENV, ""), output_path)
     directory = os.path.dirname(os.path.abspath(target))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cohortgeo-", suffix=".tmp")
@@ -204,19 +199,20 @@ def _emit(text: str, output_path: str | None) -> None:
 
 def _load_surface(args: argparse.Namespace) -> MortalitySurface:
     if args.input_format == "hmd":
+        if args.first_year is not None or args.first_age is not None:
+            raise ValueError("--first-year and --first-age apply to csv input only")
         return load_hmd(args.input, sex=args.sex)
     if args.first_year is None or args.first_age is None:
         raise ValueError("csv input needs --first-year and --first-age")
-    with open(args.input, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = Path(args.input).read_text(encoding="utf-8-sig")
     return parse_csv_matrix(text, first_year=args.first_year,
                             first_age=args.first_age, sex=args.sex,
                             source_label=os.path.basename(args.input))
 
 
-def _run_pipeline(args: argparse.Namespace) -> str:
+def _run_pipeline(args: argparse.Namespace):
     """Ingest, geometry and aggregation shared by ``cei``, ``aice``, ``gaps``
-    and ``surface``; returns the subcommand's product as text."""
+    and ``surface``; returns the subcommand's product."""
     options = GeometryOptions(z_scale=args.z_scale, log_rates=args.log_rates)
     surface = _load_surface(args)
     field = compute_geometry_field(surface, options)
@@ -233,11 +229,11 @@ def _run_pipeline(args: argparse.Namespace) -> str:
                                    baseline_window=args.baseline_window,
                                    threshold_ratio=args.threshold_ratio)
         elif args.output_format == "svg":
-            return render_series_chart([series], window=args.window,
-                                       title=series.source_label)
+            product = render_series_chart([series], window=args.window,
+                                          title=series.source_label)
         else:
             product = series
-    return product.to_csv() if args.output_format == "csv" else product.to_json()
+    return product
 
 
 def _synthetic_surface(args: argparse.Namespace) -> MortalitySurface:
@@ -273,16 +269,14 @@ def _synthetic_surface(args: argparse.Namespace) -> MortalitySurface:
 
 
 def cmd_plot(args: argparse.Namespace) -> str:
-    series_list = []
-    for path in args.inputs:
-        with open(path, "r", encoding="utf-8") as fh:
-            series_list.append(CEISeries.from_csv(
-                fh.read(), source_label=os.path.basename(path)))
-    window = None if args.no_window else tuple(args.window)
+    series_list = [CEISeries.from_csv(Path(path).read_text(encoding="utf-8-sig"),
+                                      source_label=os.path.basename(path))
+                   for path in args.inputs]
+    window = None if args.no_window else args.window
     peaks = None
     if not args.no_peaks:
         try:
-            report = detect_peaks(series_list[0], tuple(args.window),
+            report = detect_peaks(series_list[0], args.window,
                                   baseline_window=args.baseline_window,
                                   threshold_ratio=args.threshold_ratio)
             peaks = report.peaks
@@ -300,14 +294,12 @@ def main(argv: list[str] | None = None) -> int:
             lo, hi = getattr(args, flag, (0, 0))
             if lo > hi:
                 raise ValueError(f"--{flag} {lo}:{hi} is reversed")
-        if args.command == "synthetic":
-            surface = _synthetic_surface(args)
-            text = surface.to_csv() if args.output_format == "csv" else surface.to_json()
-        elif args.command == "plot":
-            text = cmd_plot(args)
-        else:
-            text = _run_pipeline(args)
-        _emit(text, args.output_path)
+        run = {"synthetic": _synthetic_surface, "plot": cmd_plot}.get(
+            args.command, _run_pipeline)
+        product = run(args)
+        if not isinstance(product, str):
+            product = product.to_csv() if args.output_format == "csv" else product.to_json()
+        _emit(product, args.output_path)
         return EXIT_OK
     except (IngestError, OSError, OverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -71,7 +71,8 @@ class EmptySeriesError(AnalyticsError):
 
 
 class UndefinedAiceError(AnalyticsError):
-    """Coefficient of variation is undefined (windowed mean not positive, or NaN)."""
+    """Coefficient of variation is undefined: the windowed mean is not positive
+    or NaN, or the mean or sample stdev overflowed to a non-finite value."""
 
 
 class SampleSizeError(AnalyticsError):

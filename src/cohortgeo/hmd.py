@@ -153,4 +153,4 @@ def parse_hmd(text: str) -> HmdParseResult:
 
 def load_hmd(path: str | Path, sex: Sex | str) -> MortalitySurface:
     """Read an Mx 1x1 file from disk and return the surface of one sex."""
-    return parse_hmd(Path(path).read_text(encoding="utf-8")).surfaces[Sex(sex)]
+    return parse_hmd(Path(path).read_text(encoding="utf-8-sig")).surfaces[Sex(sex)]

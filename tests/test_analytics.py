@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -398,6 +399,15 @@ class TestAice:
         with pytest.raises(ParameterError):
             cg.aice(s, window=(1932, 1930))
 
+    @pytest.mark.parametrize("values", [[1e200, 1e-200, 5.0], [1.7e308] * 3],
+                             ids=["stdev-overflows", "mean-overflows"])
+    def test_overflowing_window_undefined_without_warnings(self, values):
+        s = series_of(values, first_year=1930)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UndefinedAiceError, match="not finite"):
+                cg.aice(s, window=(1930, 1932))
+
     @pytest.mark.parametrize("year", [1922.9, 1922.0, True],
                              ids=["fraction", "float", "bool"])
     def test_birth_year_parameters_must_be_integers(self, year):
@@ -516,7 +526,8 @@ class TestDetectPeaks:
             Peak(start_year=1950, end_year=1940, max_cei=1.0)
         assert Peak(start_year=1940, end_year=1950, max_cei=1.0).width_years == 11
 
-    @pytest.mark.parametrize("ratio", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("ratio", [0.0, -1.0, float("nan"), float("inf"),
+                                       True, None, "2"])
     def test_threshold_must_be_positive_and_finite(self, ratio):
         s = series_of(np.ones(20), first_year=1900)
         with pytest.raises(ParameterError, match="positive and finite"):

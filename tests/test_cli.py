@@ -604,6 +604,16 @@ class TestOutputHandling:
                    "-o", "series.csv") == 0
         assert (outdir / "series.csv").exists()
 
+    def test_output_dir_env_var_leaves_absolute_path(self, ridge_csv, tmp_path,
+                                                     monkeypatch):
+        outdir = tmp_path / "artifacts"
+        monkeypatch.setenv("COHORTGEO_OUTPUT_DIR", str(outdir))
+        out = tmp_path / "elsewhere" / "series.csv"
+        assert run("cei", str(ridge_csv), "--input-format", "csv",
+                   "--first-year", "1900", "--first-age", "0",
+                   "-o", str(out)) == 0
+        assert out.exists() and not outdir.exists()
+
     def test_nested_output_dir_created(self, ridge_csv, tmp_path):
         out = tmp_path / "deep" / "nested" / "series.csv"
         assert run("cei", str(ridge_csv), "--input-format", "csv",
@@ -950,6 +960,9 @@ ERROR_CASES = {
     "csv-no-first-year": (
         "0.1,0.2,0.3\n", ("cei", "--input-format", "csv", "--first-age", "0"), 2,
         "error: csv input needs --first-year and --first-age"),
+    "hmd-first-year": (
+        _HMD_TEXT, ("cei", "--first-year", "1900"), 2,
+        "error: --first-year and --first-age apply to csv input only"),
     "grid-2x5": (
         "0.1,0.2,0.3,0.4,0.5\n0.2,0.3,0.4,0.5,0.6\n", ("cei", *_MATRIX_ARGS), 3,
         "geometry error: grid 2x5 is smaller than 3x3"),
@@ -976,3 +989,27 @@ def test_error_messages(case, tmp_path, capsys):
     assert run(command, str(path), *flags) == code
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", message + "\n")
+
+
+BOM_INPUTS = {
+    "csv-matrix": ("ridge_csv", ("cei", "{path}", *_MATRIX_ARGS)),
+    "series-csv": ("series_csv", ("plot", "{path}")),
+    "hmd": ("planted_hmd", ("cei", "{path}", "--format", "json")),
+}
+
+
+@pytest.mark.parametrize("case", list(BOM_INPUTS))
+def test_byte_order_mark_is_ignored(case, request, tmp_path, capsys):
+    """Excel's "CSV UTF-8" export and some editors start a file with a UTF-8
+    byte-order mark; each text input gives the same bytes with or without it."""
+    fixture, argv = BOM_INPUTS[case]
+    source = request.getfixturevalue(fixture)
+    outputs = []
+    for name, prefix in (("plain", ""), ("bom", "\ufeff")):
+        path = tmp_path / name / source.name
+        path.parent.mkdir()
+        path.write_text(prefix + source.read_text(encoding="utf-8"), encoding="utf-8")
+        assert run(*(a.format(path=path) for a in argv)) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0].err == ""
+    assert outputs[1] == outputs[0]

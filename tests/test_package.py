@@ -92,6 +92,27 @@ def test_cli_import_loads_no_network_modules():
     assert proc.stdout.strip() == "[]"
 
 
+def test_text_inputs_are_read_one_way():
+    """Every text input is UTF-8 with or without a byte-order mark: each
+    ``.read_text`` call passes ``encoding="utf-8-sig"``, and no module calls
+    the builtin ``open`` (output is written through ``os.fdopen``)."""
+    reads, offenders = 0, []
+    for path in sorted(Path(cohortgeo.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            where = f"{path.name}:{node.lineno}"
+            if isinstance(node.func, ast.Name) and node.func.id == "open":
+                offenders.append(where)
+            elif isinstance(node.func, ast.Attribute) and node.func.attr == "read_text":
+                reads += 1
+                encoding = [ast.literal_eval(k.value) for k in node.keywords
+                            if k.arg == "encoding"]
+                if encoding != ["utf-8-sig"]:
+                    offenders.append(where)
+    assert reads and offenders == []
+
+
 # --- the benchmark's hooks into the package ----------------------------------
 # perfbench wraps package functions by name and reads result attributes; these
 # checks read its source and never import it.
