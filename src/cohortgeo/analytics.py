@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import io
-import numbers
 from dataclasses import asdict, dataclass, field, replace
 from typing import Iterator
 
@@ -35,7 +34,8 @@ from .errors import (
 )
 from .geometry import COHORT, CROSS, GeometryField
 from .surface import (MortalitySurface, Sex, _as_contiguous_int_axis, _as_int64_array,
-                      _content_eq, _csv_text, _json_text, _store_read_only, _store_sex)
+                      _content_eq, _csv_text, _integer, _json_text, _positive_real,
+                      _store_read_only, _store_sex)
 
 DEFAULT_TRIM_YEAR = 1970
 DEFAULT_WINDOW = (1922, 1970)
@@ -43,17 +43,12 @@ DEFAULT_BASELINE_WINDOW = 11
 DEFAULT_THRESHOLD_RATIO = 1.25
 
 
-def _integer(value: object, error: str) -> int:
-    """``value`` as an int if it is a ``numbers.Integral`` but not a bool, else
-    :class:`ParameterError` with ``error``: a float is refused, not truncated."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise ParameterError(error)
-    return int(value)
-
-
 def _window_bounds(window: tuple[int, int]) -> tuple[int, int]:
-    y0, y1 = window
-    error = f"window bounds must be integers, not {window!r}"
+    error = ParameterError(f"window bounds must be integers, not {window!r}")
+    try:
+        y0, y1 = window
+    except (TypeError, ValueError):
+        raise error from None
     return _integer(y0, error), _integer(y1, error)
 
 
@@ -159,7 +154,8 @@ class Peak:
     max_cei: float
 
     def __post_init__(self) -> None:
-        error = f"peak years must be integers, not {(self.start_year, self.end_year)!r}"
+        error = ParameterError(
+            f"peak years must be integers, not {(self.start_year, self.end_year)!r}")
         start, end = _integer(self.start_year, error), _integer(self.end_year, error)
         if start > end:
             raise ValueError("peak start must not exceed end")
@@ -199,6 +195,8 @@ class CohortReport:
             raise UndefinedAiceError("aice undefined: windowed mean is not positive")
         if not all(np.isfinite(v) for v in (self.mean, self.sample_stdev) if v is not None):
             raise UndefinedAiceError("aice undefined: windowed mean or stdev is not finite")
+        if self.sample_stdev is not None and self.sample_stdev < 0:
+            raise UndefinedAiceError("aice undefined: windowed stdev is negative")
         measured = self.mean is not None and self.sample_stdev is not None
         object.__setattr__(self, "aice", self.sample_stdev / self.mean if measured else None)
         widths = [p.width_years for p in self.peaks or ()]
@@ -279,8 +277,8 @@ def trim_series(series: CEISeries, max_birth_year: int = DEFAULT_TRIM_YEAR) -> C
     The youngest cohorts sit against the grid border where every point is
     zeroed, so an untrimmed series always collapses at its right end.
     """
-    keep = series.birth_years <= _integer(
-        max_birth_year, f"max_birth_year must be an integer, not {max_birth_year!r}")
+    keep = series.birth_years <= _integer(max_birth_year, ParameterError(
+        f"max_birth_year must be an integer, not {max_birth_year!r}"))
     if not np.any(keep):
         raise EmptySeriesError(
             f"no cohorts at or before {max_birth_year} "
@@ -322,9 +320,9 @@ def aice(series: CEISeries, window: tuple[int, int] = DEFAULT_WINDOW) -> CohortR
 def rolling_median_baseline(values: np.ndarray, width: int) -> np.ndarray:
     """Centered rolling median; the half-window shrinks near the ends so the
     window stays symmetric around each point."""
-    error = "baseline window must be a positive odd integer"
+    error = ParameterError("baseline window must be a positive odd integer")
     if _integer(width, error) < 1 or width % 2 == 0:
-        raise ParameterError(error)
+        raise error
     v = np.asarray(values, dtype=float)
     n = v.size
     half = width // 2
@@ -350,9 +348,8 @@ def detect_peaks(
     Malformed options raise :class:`ParameterError`, checked before a window
     with fewer than ``baseline_window`` cohorts raises :class:`SampleSizeError`.
     """
-    if (not isinstance(threshold_ratio, numbers.Real) or isinstance(threshold_ratio, bool)
-            or not 0 < threshold_ratio < np.inf):
-        raise ParameterError("threshold_ratio must be positive and finite")
+    threshold_ratio = _positive_real(
+        threshold_ratio, ParameterError("threshold_ratio must be positive and finite"))
     window, years, values = _windowed(series, window)
     baseline = rolling_median_baseline(values, baseline_window)
     if years.size == 0:
@@ -401,8 +398,8 @@ def u_shape_diagnostic(series: CEISeries,
     years since its first cohort, so that it stays exact for birth years
     far from 0.
     """
-    cutoff_year = _integer(cutoff_year,
-                           f"cutoff_year must be an integer, not {cutoff_year!r}")
+    cutoff_year = _integer(cutoff_year, ParameterError(
+        f"cutoff_year must be an integer, not {cutoff_year!r}"))
     keep = series.birth_years >= cutoff_year
     years = series.birth_years[keep].astype(float)
     values = series.values[keep]

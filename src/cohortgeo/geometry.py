@@ -70,7 +70,7 @@ from .errors import (
     StructuralError,
     SurfaceSizeError,
 )
-from .surface import MortalitySurface, SurfaceGrid, _store_read_only
+from .surface import MortalitySurface, SurfaceGrid, _positive_real, _store_read_only
 
 COHORT, CROSS, PERIOD, AGE = 0, 1, 2, 3
 DIRECTION_NAMES = ("cohort", "cross", "period", "age")
@@ -219,11 +219,10 @@ class GeometryOptions:
     def __post_init__(self) -> None:
         if isinstance(self.z_scale, (bool, np.bool_)):
             raise ValueError("z_scale must be a number, not a bool")
-        if not (self.z_scale > 0 and math.isfinite(self.z_scale)):
-            raise ValueError("z_scale must be positive and finite")
+        object.__setattr__(self, "z_scale", _positive_real(
+            self.z_scale, ValueError("z_scale must be positive and finite")))
         if not isinstance(self.log_rates, (bool, np.bool_)):
             raise ValueError("log_rates must be a bool")
-        object.__setattr__(self, "z_scale", float(self.z_scale))
         object.__setattr__(self, "log_rates", bool(self.log_rates))
 
     def label(self) -> str:
@@ -295,6 +294,14 @@ class GeometryField:
     grid: SurfaceGrid | None = None   # the kernel's input, after prepare_grid
 
     def __post_init__(self) -> None:
+        grid = (len(self.years), len(self.ages))
+        for name, shape in (("valid", grid), ("normals", (*grid, 3)),
+                            ("normal_curvatures", (*grid, 4))):
+            if getattr(self, name).shape != shape:
+                raise ValueError(f"{name} has shape {getattr(self, name).shape}, "
+                                 f"the axes need {shape}")
+        if self.valid.dtype != bool:
+            raise ValueError(f"valid must be a bool array, not {self.valid.dtype}")
         _store_read_only(self, **{f.name: getattr(self, f.name) for f in fields(self)
                                   if f.name not in ("options", "grid")})
 

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CohortGeoError
-from .surface import MortalitySurface, SurfaceGrid
+from .surface import MortalitySurface, SurfaceGrid, _positive_real
 
 _SELF_CHECK_POINTS = 100
 _SELF_CHECK_TOL = 1e-6
@@ -192,12 +192,9 @@ def smooth_cei(
         speed = np.sqrt(2.0 + (surface.f_t(tm, xm) + surface.f_x(tm, xm)) ** 2)
         return float(np.sum(np.abs(nc_t - nc_n) * speed) * ((b - a) / n))
 
-    if quadrature_step is None:
-        n = 16
-    else:
-        step = float(quadrature_step)
-        if not (step > 0):
-            raise ValueError("quadrature_step must be positive")
+    n = 16
+    if quadrature_step is not None:
+        step = _positive_real(quadrature_step, ValueError("quadrature_step must be positive"))
         n = max(1, math.ceil((b - a) / step))
     prev = total(n)
     for _ in range(max_halvings):
@@ -274,13 +271,6 @@ def sphere_cap(radius: float, center=(0.0, 0.0), domain=None) -> AnalyticSurface
     )
 
 
-def _positive_finite(name: str, value: float) -> float:
-    v = float(value)
-    if not (v > 0 and math.isfinite(v)):
-        raise ValueError(f"{name} must be positive and finite, got {v!r}")
-    return v
-
-
 def gaussian_ridge(width: float = 50.0, amplitude: float = 1.0,
                    center: float = 0.0,
                    domain=((-50.0, 50.0), (-50.0, 50.0))) -> AnalyticSurface:
@@ -291,7 +281,7 @@ def gaussian_ridge(width: float = 50.0, amplitude: float = 1.0,
     ridge sits on. Flat along (1, 1); all bending is across the ridge.
     ``width`` must be positive and finite.
     """
-    w = _positive_finite("width", width)
+    w = _positive_real(width, ValueError(f"width must be positive and finite, got {width!r}"))
     amp = float(amplitude)
     u0 = float(center)
 
@@ -319,7 +309,8 @@ def gaussian_bump(sigma: float, center=(0.0, 0.0), amplitude: float = 1.0,
                   domain=None) -> AnalyticSurface:
     """Radially symmetric bump ``amp * exp(-rho^2 / (2 sigma^2))``, for a
     positive and finite ``sigma``."""
-    s2 = _positive_finite("sigma", sigma) ** 2
+    s2 = _positive_real(sigma, ValueError(
+        f"sigma must be positive and finite, got {sigma!r}")) ** 2
     amp = float(amplitude)
     t0, x0 = float(center[0]), float(center[1])
     if domain is None:
@@ -391,8 +382,7 @@ def sample_grid(surface: AnalyticSurface,
                 x_start: float, x_stop: float,
                 step: float = 1.0) -> SurfaceGrid:
     """Evaluate the surface on a regular grid (any positive step)."""
-    if not (step > 0):
-        raise ValueError("step must be positive")
+    _positive_real(step, ValueError("step must be positive"))
     nt = int(math.floor((t_stop - t_start) / step + 1e-9)) + 1
     nx = int(math.floor((x_stop - x_start) / step + 1e-9)) + 1
     t = t_start + step * np.arange(nt)

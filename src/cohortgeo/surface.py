@@ -39,6 +39,22 @@ class Sex(str, Enum):
     TOTAL = "total"
 
 
+def _integer(value: object, error: Exception) -> int:
+    """``value`` as an int if it is a ``numbers.Integral`` but not a bool, else
+    ``error``: a float is refused, not truncated."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise error
+    return int(value)
+
+
+def _positive_real(value: object, error: Exception) -> float:
+    """A non-bool ``numbers.Real`` in (0, inf) as a float, else raise ``error``."""
+    if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+            or not 0 < value < math.inf):
+        raise error
+    return float(value)
+
+
 def _as_int64_array(values: Iterable[int], what: str) -> np.ndarray:
     """``values`` as a nonempty 1-D int64 array, or :class:`StructuralError`."""
     if isinstance(values, Iterable) and not isinstance(values, np.ndarray):
@@ -253,11 +269,11 @@ def parse_csv_matrix(
         raise FormatError(f"malformed CSV at line {reader.line_num}: {exc}") from None
     if not rows:
         raise FormatError("empty CSV input")
-    n_years = len(rows)
-    n_ages = len(rows[0])
+    year, age = (_integer(v, StructuralError(f"{name} must be an integer, not {v!r}"))
+                 for name, v in (("first_year", first_year), ("first_age", first_age)))
     return MortalitySurface(
-        years=np.arange(first_year, first_year + n_years),
-        ages=np.arange(first_age, first_age + n_ages),
+        years=np.arange(year, year + len(rows)),
+        ages=np.arange(age, age + len(rows[0])),
         rates=np.asarray(rows, dtype=float),
         sex=sex,
         source_label=source_label,

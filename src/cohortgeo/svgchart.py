@@ -14,7 +14,7 @@ import math
 import sys
 from typing import Sequence
 
-from .analytics import CEISeries, Peak
+from .analytics import CEISeries, Peak, _window_bounds
 
 _PALETTE = ("#1b6ca8", "#c2432f", "#3a7d44", "#7d3a96", "#b07d2b", "#2b7d7d")
 _MARGIN_LEFT = 62.0
@@ -113,8 +113,8 @@ def render_series_chart(
     if title:
         text(width / 2, 20, title, 14)
     if window is not None:
-        w0 = max(float(window[0]), year_lo)
-        w1 = min(float(window[1]), year_hi)
+        w0, w1 = _window_bounds(window)
+        w0, w1 = max(w0, year_lo), min(w1, year_hi)
         if w1 > w0:
             parts.append(f'<rect x="{_fmt(sx(w0))}" y="{_fmt(y1)}" '
                          f'width="{_fmt(sx(w1) - sx(w0))}" height="{_fmt(y0 - y1)}" '

@@ -433,6 +433,28 @@ class TestAice:
         assert cg.trim_series(s, np.int64(1950)).last_year == 1950
         assert cg.u_shape_diagnostic(s, np.int64(1970)).cutoff_year == 1970
 
+    @pytest.mark.parametrize("window", [None, 1922, (1922,), (1922, 1950, 1),
+                                        (1922.0, 1970)],
+                             ids=["none", "int", "single", "triple", "float-bound"])
+    def test_window_must_be_a_pair_of_integers(self, window):
+        s = series_of(np.linspace(1.0, 2.0, 80), first_year=1900)
+        calls = [lambda: cg.aice(s, window), lambda: cg.detect_peaks(s, window),
+                 lambda: CohortReport(window=window)]
+        if window is not None:  # a chart without a window is unshaded
+            calls.append(lambda: render_series_chart([s], window=window))
+        for call in calls:
+            with pytest.raises(ParameterError) as exc:
+                call()
+            assert str(exc.value) == f"window bounds must be integers, not {window!r}"
+
+    def test_list_window_reads_as_the_tuple(self):
+        s = series_of(np.linspace(1.0, 2.0, 80), first_year=1900)
+        assert cg.aice(s, [1922, 1970]) == cg.aice(s, (1922, 1970))
+        assert cg.detect_peaks(s, [1922, 1970]) == cg.detect_peaks(s, (1922, 1970))
+        assert CohortReport(window=[1922, 1970]).window == (1922, 1970)
+        assert (render_series_chart([s], window=[1922, 1970])
+                == render_series_chart([s], window=(1922, 1970)))
+
     def test_scale_examples(self):
         a = cg.aice(series_of([1.0, 2.0, 3.0], first_year=1930), (1930, 1932))
         b = cg.aice(series_of([10.0, 20.0, 30.0], first_year=1930), (1930, 1932))
@@ -572,6 +594,13 @@ class TestDetectPeaks:
                 CohortReport(window=(1900, 1950), **{name: 2})
         with pytest.raises(UndefinedAiceError, match="windowed mean is not positive"):
             CohortReport(window=(1900, 1950), mean=0.0, sample_stdev=0.0)
+
+    def test_hand_built_report_refuses_a_negative_stdev(self):
+        with pytest.raises(UndefinedAiceError,
+                           match="^aice undefined: windowed stdev is negative$"):
+            CohortReport(window=(1900, 1950), mean=1.0, sample_stdev=-1.0)
+        for zero in (0.0, -0.0):  # np.std of a constant window
+            assert CohortReport(window=(1900, 1950), mean=1.0, sample_stdev=zero).aice == 0.0
 
     def test_report_and_peaks_store_plain_numbers(self):
         report = CohortReport(window=(1900, 1950), mean=2, sample_stdev=1)

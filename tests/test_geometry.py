@@ -270,6 +270,10 @@ class TestGeometryOptions:
             GeometryOptions(z_scale=0.0)
         with pytest.raises(ValueError):
             GeometryOptions(z_scale=-1.0)
+        with pytest.raises(ValueError):
+            GeometryOptions(z_scale="2")
+        with pytest.raises(ValueError):
+            GeometryOptions(z_scale=None)
 
     @pytest.mark.parametrize("z_scale", [np.float64(2.0), 2, np.int64(2), np.float32(2.0)],
                              ids=["float64", "int", "int64", "float32"])
@@ -821,6 +825,22 @@ class TestFieldStorage:
             assert not getattr(field, name).flags.writeable
         with pytest.raises(ValueError, match="built without its grid"):
             field.tangents
+
+    @pytest.mark.parametrize("name, array, message", [
+        ("valid", np.zeros((2, 2), dtype=bool), r"valid has shape \(2, 2\), the axes "
+         r"need \(3, 4\)"),
+        ("valid", np.zeros((3, 4), dtype=int), "valid must be a bool array, not int64"),
+        ("normals", np.zeros((3, 4, 2)), r"normals has shape \(3, 4, 2\), the axes "
+         r"need \(3, 4, 3\)"),
+        ("normal_curvatures", np.zeros((4, 3, 4)), r"normal_curvatures has shape "
+         r"\(4, 3, 4\), the axes need \(3, 4, 4\)"),
+    ], ids=["valid-shape", "valid-dtype", "normals", "normal-curvatures"])
+    def test_hand_built_field_arrays_must_fit_its_axes(self, name, array, message):
+        arrays = {"years": np.arange(3.0), "ages": np.arange(4.0),
+                  "valid": np.zeros((3, 4), dtype=bool), "normals": np.zeros((3, 4, 3)),
+                  "normal_curvatures": np.zeros((3, 4, 4)), name: array}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            geometry.GeometryField(options=GeometryOptions(), **arrays)
 
 
 HUGE_CELL_BLOCKS = (400 * 120 + 1, 32768, 5 * 120)  # whole grid, two blocks, five rows

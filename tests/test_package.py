@@ -113,6 +113,25 @@ def test_text_inputs_are_read_one_way():
     assert reads and offenders == []
 
 
+def test_parameter_rules_live_in_surface_only():
+    """``surface.py`` alone decides what an integer and a positive real
+    parameter are: it is the only module that imports ``numbers`` or
+    defines ``_integer`` or ``_positive_real``; the others import them."""
+    importers, definers = set(), set()
+    for path in sorted(Path(cohortgeo.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import) and any(
+                    alias.name == "numbers" for alias in node.names):
+                importers.add(path.name)
+            elif isinstance(node, ast.ImportFrom) and node.module == "numbers":
+                importers.add(path.name)
+            elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name in ("_integer", "_positive_real")):
+                definers.add((path.name, node.name))
+    assert importers == {"surface.py"}
+    assert definers == {("surface.py", "_integer"), ("surface.py", "_positive_real")}
+
+
 # --- the benchmark's hooks into the package ----------------------------------
 # perfbench wraps package functions by name and reads result attributes; these
 # checks read its source and never import it.

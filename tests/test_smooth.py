@@ -57,7 +57,7 @@ class TestSelfCheck:
         smooth.gaussian_bump(8.0)
         smooth.gompertz_surface()
 
-    @pytest.mark.parametrize("value", [0.0, -2.0, math.inf, math.nan])
+    @pytest.mark.parametrize("value", [0.0, -2.0, math.inf, math.nan, True, "50"])
     def test_ridge_width_and_bump_sigma_positive_and_finite(self, value):
         with pytest.raises(ValueError, match="width must be positive and finite"):
             smooth.gaussian_ridge(width=value)
@@ -196,7 +196,7 @@ class TestSmoothCei:
             smooth.smooth_cei(surf, 0.0, (-10.0, 10.0), quadrature_step=10.0,
                           rel_tol=1e-16, max_halvings=2)
 
-    @pytest.mark.parametrize("step", [0, -1.0, math.nan])
+    @pytest.mark.parametrize("step", [0, -1.0, math.nan, "1", math.inf])
     def test_nonpositive_quadrature_step_rejected(self, step):
         surf = smooth.plane(0.2, 0.5, 1.0, domain=((-100, 100), (-100, 100)))
         with pytest.raises(ValueError) as exc:
@@ -232,6 +232,12 @@ class TestMaterialization:
         surf = smooth.plane(0.1, 0.2, 3.0)
         with pytest.raises(ValueError):
             smooth.sample_grid(surf, 0, 5, 0, 5, step=0.0)
+
+    @pytest.mark.parametrize("step", ["1", True, math.inf, None])
+    def test_sample_grid_step_must_be_a_positive_real(self, step):
+        surf = smooth.plane(0.1, 0.2, 3.0)
+        with pytest.raises(ValueError, match="^step must be positive$"):
+            smooth.sample_grid(surf, 0, 5, 0, 5, step=step)
 
     def test_materialize_mortality_surface(self):
         surf = smooth.gompertz_surface()

@@ -228,6 +228,17 @@ class TestCsvMatrix:
         with pytest.raises(FormatError):
             parse_csv_matrix("", first_year=2000, first_age=0)
 
+    @pytest.mark.parametrize("origin", [True, "1900", None, 1900.0],
+                             ids=["bool", "str", "none", "float"])
+    @pytest.mark.parametrize("name", ["first_year", "first_age"])
+    def test_origin_must_be_an_integer(self, name, origin):
+        origins = {"first_year": 2000, "first_age": 0, name: origin}
+        with pytest.raises(StructuralError) as exc:
+            parse_csv_matrix("0.1,0.2\n0.3,0.4", **origins)
+        assert str(exc.value) == f"{name} must be an integer, not {origin!r}"
+        s = parse_csv_matrix("0.1,0.2", first_year=np.int64(2000), first_age=np.int32(5))
+        assert (s.years.tolist(), s.ages.tolist()) == ([2000], [5, 6])
+
     @pytest.mark.parametrize("text", [
         "0.1,0.2\n0.3,0.4\r0.5,0.6\n",
         "0.1,0.2\n0.3,0." + "1" * 140_000 + "\n",
