@@ -8,10 +8,12 @@ text), and :func:`main` formats it by ``--format`` and writes it once.
 
 Exit codes: 0 success, 2 input or configuration problems (including any
 ``OSError`` from reading input or writing output, a reversed
-``--window``/``--years``/``--ages`` range, and an ``OverflowError`` from a
-parameter too large to compute with), 3 geometry failures, 4
-analytics failures. Output files are written atomically
-(temp file plus rename), so a failed run never leaves a partial artifact.
+``--window``/``--years``/``--ages`` range, a ``synthetic`` ridge
+``--width``, bump ``--sigma`` or sphere ``--radius`` that is not positive
+and finite, an ``OverflowError`` from a parameter too large to compute
+with, and a ``MemoryError`` from a grid too large to allocate), 3 geometry
+failures, 4 analytics failures. Output files are written atomically (temp
+file plus rename), so a failed run never leaves a partial artifact.
 Relative output paths are resolved against ``COHORTGEO_OUTPUT_DIR`` when
 that variable is set.
 """
@@ -301,7 +303,7 @@ def main(argv: list[str] | None = None) -> int:
             product = product.to_csv() if args.output_format == "csv" else product.to_json()
         _emit(product, args.output_path)
         return EXIT_OK
-    except (IngestError, OSError, OverflowError, ValueError) as exc:
+    except (IngestError, MemoryError, OSError, OverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except GeometryError as exc:

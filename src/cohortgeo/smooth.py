@@ -33,6 +33,10 @@ _SELF_CHECK_TOL = 1e-6
 # and need a larger one or cancellation noise (|f| eps / h^2) swamps the check
 _FD_STEP1 = 1e-4
 _FD_STEP2 = 2e-3
+# smooth_cei's midpoint schedule: 16 intervals, halved until two successive
+# sums agree to _REL_TOL relative, at most _MAX_HALVINGS times
+_REL_TOL = 1e-8
+_MAX_HALVINGS = 20
 
 ScalarField = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -158,21 +162,13 @@ def cohort_cross_direction(surface: AnalyticSurface, t, x):
     return 1.0 - mu, -1.0 - mu
 
 
-def smooth_cei(
-    surface: AnalyticSurface,
-    birth_year: float,
-    t_range: tuple[float, float],
-    quadrature_step: float | None = None,
-    *,
-    rel_tol: float = 1e-8,
-    max_halvings: int = 20,
-) -> float:
+def smooth_cei(surface: AnalyticSurface, birth_year: float,
+               t_range: tuple[float, float]) -> float:
     """Arc-length integral of ``|NC_T - NC_N|`` along one cohort path.
 
-    Composite midpoint quadrature starting at ``quadrature_step`` (default
-    a sixteenth of the range), halving until two successive refinements
-    agree to ``rel_tol`` relative. Raises :class:`QuadratureError` if the
-    budget of ``max_halvings`` is exhausted.
+    Composite midpoint quadrature starting at 16 intervals, halving until
+    two successive refinements agree to 1e-8 relative. Raises
+    :class:`QuadratureError` after 20 halvings without agreement.
     """
     a, b = float(t_range[0]), float(t_range[1])
     if not a < b:
@@ -193,20 +189,17 @@ def smooth_cei(
         return float(np.sum(np.abs(nc_t - nc_n) * speed) * ((b - a) / n))
 
     n = 16
-    if quadrature_step is not None:
-        step = _positive_real(quadrature_step, ValueError("quadrature_step must be positive"))
-        n = max(1, math.ceil((b - a) / step))
     prev = total(n)
-    for _ in range(max_halvings):
+    for _ in range(_MAX_HALVINGS):
         n *= 2
         cur = total(n)
-        if abs(cur - prev) <= rel_tol * max(abs(cur), abs(prev)):
+        if abs(cur - prev) <= _REL_TOL * max(abs(cur), abs(prev)):
             return cur
         if abs(cur) < 1e-15 and abs(prev) < 1e-15:
             return cur
         prev = cur
     raise QuadratureError(
-        f"cohort integral did not converge after {max_halvings} halvings"
+        f"cohort integral did not converge after {_MAX_HALVINGS} halvings"
     )
 
 
@@ -222,6 +215,7 @@ def _const_field(value: float) -> ScalarField:
 def plane(a: float, b: float, c: float,
           domain=((0.0, 100.0), (0.0, 100.0))) -> AnalyticSurface:
     """z = a t + b x + c. Zero curvature everywhere."""
+    a, b, c = float(a), float(b), float(c)
     return AnalyticSurface(
         name=f"plane({a},{b},{c})",
         f=lambda t, x: a * np.asarray(t, float) + b * np.asarray(x, float) + c,
@@ -236,7 +230,8 @@ def plane(a: float, b: float, c: float,
 
 def sphere_cap(radius: float, center=(0.0, 0.0), domain=None) -> AnalyticSurface:
     """Upper cap of a sphere: umbilic, normal curvature -1/R in every direction."""
-    r = float(radius)
+    r = _positive_real(radius, ValueError(
+        f"radius must be positive and finite, got {radius!r}"))
     t0, x0 = float(center[0]), float(center[1])
     if domain is None:
         half = 0.5 * r / math.sqrt(2.0)
@@ -309,12 +304,13 @@ def gaussian_bump(sigma: float, center=(0.0, 0.0), amplitude: float = 1.0,
                   domain=None) -> AnalyticSurface:
     """Radially symmetric bump ``amp * exp(-rho^2 / (2 sigma^2))``, for a
     positive and finite ``sigma``."""
-    s2 = _positive_real(sigma, ValueError(
-        f"sigma must be positive and finite, got {sigma!r}")) ** 2
+    sigma = _positive_real(sigma, ValueError(
+        f"sigma must be positive and finite, got {sigma!r}"))
+    s2 = sigma ** 2  # ** raises OverflowError where sigma * sigma gives inf
     amp = float(amplitude)
     t0, x0 = float(center[0]), float(center[1])
     if domain is None:
-        r = 4.0 * float(sigma)
+        r = 4.0 * sigma
         domain = ((t0 - r, t0 + r), (x0 - r, x0 + r))
 
     def g(t, x):
@@ -355,6 +351,8 @@ def gompertz_surface(base_rate: float = 1e-4, age_slope: float = 0.09,
 
     ``z = base_rate * exp(age_slope * x) * exp(-improvement * (t - t_start))``.
     """
+    base_rate, age_slope = float(base_rate), float(age_slope)
+    improvement = float(improvement)
     t_start = domain[0][0]
 
     def u(t):

@@ -48,11 +48,17 @@ def _integer(value: object, error: Exception) -> int:
 
 
 def _positive_real(value: object, error: Exception) -> float:
-    """A non-bool ``numbers.Real`` in (0, inf) as a float, else raise ``error``."""
-    if (not isinstance(value, numbers.Real) or isinstance(value, bool)
-            or not 0 < value < math.inf):
+    """A non-bool ``numbers.Real`` in (0, inf) as a float, else raise ``error``;
+    an int beyond the float range is refused like infinity."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise error
-    return float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise error from None
+    if not 0 < value < math.inf:
+        raise error
+    return value
 
 
 def _as_int64_array(values: Iterable[int], what: str) -> np.ndarray:

@@ -34,6 +34,8 @@ def _fmt(v: float) -> str:
 
 def _nice_step(span: float, target: int) -> float:
     raw = span / target
+    if raw == 0.0:
+        return 0.0  # a span of a few subnormals underflows
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
@@ -42,9 +44,9 @@ def _nice_step(span: float, target: int) -> float:
 
 
 def _ticks(lo: float, hi: float, target: int) -> list[float]:
-    if hi <= lo:
+    step = _nice_step(hi - lo, target) if hi > lo else 0.0
+    if step == 0.0:  # an empty span, or a step below the smallest subnormal
         return [lo]
-    step = _nice_step(hi - lo, target)
     # Integer multiples of the step, so the count is bounded at any
     # magnitude, rounded one digit below the step's leading digit so that
     # tiny steps keep their ticks apart.

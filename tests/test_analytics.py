@@ -549,7 +549,8 @@ class TestDetectPeaks:
         assert Peak(start_year=1940, end_year=1950, max_cei=1.0).width_years == 11
 
     @pytest.mark.parametrize("ratio", [0.0, -1.0, float("nan"), float("inf"),
-                                       True, None, "2"])
+                                       True, None, "2",
+                                       pytest.param(10**400, id="10**400")])
     def test_threshold_must_be_positive_and_finite(self, ratio):
         s = series_of(np.ones(20), first_year=1900)
         with pytest.raises(ParameterError, match="positive and finite"):

@@ -36,6 +36,7 @@ from cohortgeo.analytics import (
     DEFAULT_TRIM_YEAR,
     DEFAULT_WINDOW,
 )
+from cohortgeo import smooth
 from cohortgeo.cli import build_parser, main
 from cohortgeo.svgchart import _ticks
 from conftest import make_hmd_text, package_env, planted_hmd_text
@@ -130,12 +131,23 @@ class TestSynthetic:
     @pytest.mark.parametrize("shape, flag, value", [
         ("ridge", "--width", "0"), ("ridge", "--width", "-1"),
         ("bump", "--sigma", "-2"), ("bump", "--sigma", "0"),
+        ("sphere", "--radius", "0"), ("sphere", "--radius", "-500"),
     ])
     def test_nonpositive_width_or_sigma_exit_2(self, shape, flag, value, capsys):
         assert run("synthetic", "--shape", shape, "--years", "0:0", "--ages", "0:0",
                    flag, value) == 2
         assert capsys.readouterr().err == (
             f"error: {flag[2:]} must be positive and finite, got {float(value)!r}\n")
+
+    def test_grid_too_large_to_allocate_exit_2(self, monkeypatch, capsys):
+        # a real oversized grid would first build gigabytes of axes
+        def refuse(surface, years, ages):
+            raise MemoryError("Unable to allocate 71.1 PiB for an array")
+        monkeypatch.setattr(smooth, "materialize_mortality_surface", refuse)
+        assert run("synthetic", "--shape", "ridge", "--years", "0:4",
+                   "--ages", "0:4") == 2
+        assert capsys.readouterr().err == (
+            "error: Unable to allocate 71.1 PiB for an array\n")
 
 
 class TestCei:
@@ -447,6 +459,25 @@ class TestPlot:
         path = tmp_path / "big.csv"
         path.write_text("birth_year,cei,point_count\n1950,1e308,1\n1951,1.75e308,1\n")
         assert run("plot", str(path), "-o", str(tmp_path / "big.svg")) == 0
+
+    @pytest.mark.parametrize("top", ["5e-324", "1e-323", "2e-323"])
+    def test_subnormal_maximum_charts_with_a_zero_tick(self, top, tmp_path):
+        # the tick step underflows to 0, so the value axis keeps its 0 tick only
+        path = tmp_path / "tiny.csv"
+        path.write_text(f"birth_year,cei,point_count\n1950,0.0,1\n1951,{top},1\n")
+        assert run("plot", str(path), "-o", str(tmp_path / "tiny.svg")) == 0
+        root = ET.fromstring((tmp_path / "tiny.svg").read_text())
+        ns = "{http://www.w3.org/2000/svg}"
+        assert [el.text for el in root.iter(f"{ns}text")
+                if el.get("text-anchor") == "end"] == ["0"]
+
+    def test_small_subnormal_maximum_chart_bytes(self, tmp_path):
+        path = tmp_path / "tiny.csv"
+        path.write_text("birth_year,cei,point_count\n"
+                        "1900,0.0,1\n1901,1e-321,1\n1902,5e-322,1\n")
+        assert run("plot", str(path), "-o", str(tmp_path / "tiny.svg")) == 0
+        assert hashlib.sha256((tmp_path / "tiny.svg").read_bytes()).hexdigest() == (
+            "1cecc8211eaac802afceede352595f6badfd5e7ef514dc1361ed6f015ede7989")
 
     @pytest.mark.parametrize("row, message", [
         pytest.param("100000000000000000000,1.0,1",

@@ -275,6 +275,10 @@ class TestGeometryOptions:
         with pytest.raises(ValueError):
             GeometryOptions(z_scale=None)
 
+    def test_int_beyond_float_range_refused(self):
+        with pytest.raises(ValueError, match="^z_scale must be positive and finite$"):
+            GeometryOptions(z_scale=10**400)
+
     @pytest.mark.parametrize("z_scale", [np.float64(2.0), 2, np.int64(2), np.float32(2.0)],
                              ids=["float64", "int", "int64", "float32"])
     def test_equal_options_write_the_same_label(self, z_scale):
