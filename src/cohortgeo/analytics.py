@@ -49,7 +49,10 @@ def _window_bounds(window: tuple[int, int]) -> tuple[int, int]:
         y0, y1 = window
     except (TypeError, ValueError):
         raise error from None
-    return _integer(y0, error), _integer(y1, error)
+    y0, y1 = _integer(y0, error), _integer(y1, error)
+    if y0 > y1:
+        raise ParameterError(f"window [{y0}, {y1}] is reversed")
+    return y0, y1
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,8 +295,6 @@ def _windowed(series: CEISeries, window: tuple[int, int]
               ) -> tuple[tuple[int, int], np.ndarray, np.ndarray]:
     """The checked int bounds of ``window`` and the years and values in it."""
     y0, y1 = _window_bounds(window)
-    if y0 > y1:
-        raise ParameterError(f"window [{y0}, {y1}] is reversed")
     keep = (series.birth_years >= y0) & (series.birth_years <= y1)
     return (y0, y1), series.birth_years[keep], series.values[keep]
 

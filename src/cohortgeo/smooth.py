@@ -4,8 +4,10 @@ Ground truth for the discrete kernel: closed-form first and second
 derivatives give the exact unit normal and the normal curvature along any
 tangent direction via the standard graph-surface fundamental forms. A
 small catalog of surfaces with hand-coded derivatives is provided; every
-construction self-checks the supplied derivatives against central finite
-differences of ``f`` at 100 random sample points.
+construction self-checks each supplied derivative against a central first
+difference of the function one order below it (``f_t`` and ``f_x`` of
+``f``, ``f_tt`` and ``f_tx`` of ``f_t``, ``f_xx`` of ``f_x``) at 100
+random sample points.
 
 For a birth cohort ``c`` the cohort path is ``t -> (t, t - c, f(t, t-c))``.
 The smooth cohort effect index integrates ``|NC_T - NC_N|`` along that path
@@ -29,10 +31,9 @@ from .surface import MortalitySurface, SurfaceGrid, _positive_real
 
 _SELF_CHECK_POINTS = 100
 _SELF_CHECK_TOL = 1e-6
-# first differences tolerate a small step; second differences divide by h^2
-# and need a larger one or cancellation noise (|f| eps / h^2) swamps the check
-_FD_STEP1 = 1e-4
-_FD_STEP2 = 2e-3
+# a power of two near 1e-4: t + h and t - h round only where they cross a
+# power of two, so a difference divides by the step it really took
+_FD_STEP = 2.0 ** -13
 # smooth_cei's midpoint schedule: 16 intervals, halved until two successive
 # sums agree to _REL_TOL relative, at most _MAX_HALVINGS times
 _REL_TOL = 1e-8
@@ -69,44 +70,39 @@ class AnalyticSurface:
         self._self_check()
 
     def _self_check(self) -> None:
-        # Derivatives must agree with central differences of f; a mismatch
-        # means a catalog entry (or user surface) was mis-derived.
+        # Each derivative must agree with a central first difference of the
+        # function one order below it, within _SELF_CHECK_TOL plus that
+        # difference's own rounding noise; a mismatch means a catalog entry
+        # (or user surface) was mis-derived.
         (t0, t1), (x0, x1) = self.domain
         rng = np.random.default_rng(0)
         pad_t = 0.05 * (t1 - t0)
         pad_x = 0.05 * (x1 - x0)
         t = rng.uniform(t0 + pad_t, t1 - pad_t, _SELF_CHECK_POINTS)
         x = rng.uniform(x0 + pad_x, x1 - pad_x, _SELF_CHECK_POINTS)
-        h = _FD_STEP1
-        g = _FD_STEP2
-        f = self.f
-        # Off the surface's real domain the formulas give nan; that is
-        # reported below, so numpy's warnings about it are noise.
-        with np.errstate(all="ignore"):
-            checks = {
-                "f_t": (self.f_t(t, x), (f(t + h, x) - f(t - h, x)) / (2 * h)),
-                "f_x": (self.f_x(t, x), (f(t, x + h) - f(t, x - h)) / (2 * h)),
-                "f_tt": (self.f_tt(t, x),
-                         (f(t + g, x) - 2 * f(t, x) + f(t - g, x)) / (g * g)),
-                "f_xx": (self.f_xx(t, x),
-                         (f(t, x + g) - 2 * f(t, x) + f(t, x - g)) / (g * g)),
-                "f_tx": (self.f_tx(t, x),
-                         (f(t + g, x + g) - f(t + g, x - g)
-                          - f(t - g, x + g) + f(t - g, x - g)) / (4 * g * g)),
-            }
-        for label, (exact, approx) in checks.items():
-            exact = np.asarray(exact, dtype=float)
+        h = _FD_STEP
+        checks = (("f_t", self.f_t, self.f, h, 0.0), ("f_x", self.f_x, self.f, 0.0, h),
+                  ("f_tt", self.f_tt, self.f_t, h, 0.0), ("f_xx", self.f_xx, self.f_x, 0.0, h),
+                  ("f_tx", self.f_tx, self.f_t, 0.0, h))
+        for label, derivative, below, dt, dx in checks:
+            # Off the surface's real domain the formulas give nan; that is
+            # reported below, so numpy's warnings about it are noise.
+            with np.errstate(all="ignore"):
+                exact = np.asarray(derivative(t, x), dtype=float)
+                up, down = below(t + dt, x + dx), below(t - dt, x - dx)
+                approx = (up - down) / (2 * h)
+                noise = np.finfo(float).eps * (np.abs(up) + np.abs(down)) / h
             if not (np.isfinite(exact).all() and np.isfinite(approx).all()):
                 raise ValueError(
                     f"surface {self.name!r}: {label} is not finite everywhere "
                     f"on the domain {self.domain}; the surface is not "
                     f"real-valued there"
                 )
-            err = float(np.max(np.abs(exact - approx)))
-            if not err < _SELF_CHECK_TOL:
+            err = np.abs(exact - approx)
+            if not np.all(err < _SELF_CHECK_TOL + noise):
                 raise ValueError(
                     f"surface {self.name!r}: {label} disagrees with finite "
-                    f"differences (max error {err:.3e})"
+                    f"differences (max error {float(np.max(err)):.3e})"
                 )
 
     def contains(self, t: float, x: float) -> bool:

@@ -399,6 +399,16 @@ class TestAice:
         with pytest.raises(ParameterError):
             cg.aice(s, window=(1932, 1930))
 
+    def test_reversed_window_refused_by_a_hand_built_report(self):
+        with pytest.raises(ParameterError, match=r"^window \[1970, 1922\] is reversed$"):
+            CohortReport(window=(1970, 1922), mean=1.0, sample_stdev=0.5)
+
+    def test_reversed_window_refused_by_the_chart(self):
+        # it used to draw the chart with no shading
+        s = series_of(np.linspace(1.0, 2.0, 80), first_year=1900)
+        with pytest.raises(ParameterError, match=r"^window \[1950, 1920\] is reversed$"):
+            render_series_chart([s], window=(1950, 1920))
+
     @pytest.mark.parametrize("values", [[1e200, 1e-200, 5.0], [1.7e308] * 3],
                              ids=["stdev-overflows", "mean-overflows"])
     def test_overflowing_window_undefined_without_warnings(self, values):

@@ -101,6 +101,16 @@ class TestSynthetic:
                        "--ages", "0:15", "-o", str(path)) == 0
             assert path.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("--shape", "plane", "--years", "1900:2000", "--ages", "0:100", "--a", "100"),
+        ("--shape", "gompertz", "--years", "1900:2000", "--ages", "0:110",
+         "--base-rate", "1"),
+    ], ids=["steep-plane", "gompertz-base-rate-1"])
+    def test_exact_surface_with_large_values_accepted(self, argv, capsys):
+        # the derivative self-check once refused these for the size of f alone
+        assert run("synthetic", *argv) == 0
+        assert capsys.readouterr().err == ""
+
     def test_json_output(self, capsys):
         assert run("synthetic", "--shape", "plane", "--years", "2000:2004",
                    "--ages", "0:3", "--format", "json") == 0

@@ -8,7 +8,8 @@ oracle for the kernel independent of its chords, tangents and ``eigh``.
 
 The AICE properties pin when the index ranks cohort effects: across
 ``z_scale`` up to 2, but not across files of different population size or
-calendar span.
+calendar span. The peak property pins that noise alone makes one-year
+peaks, so a ``min_gap`` of 1 on noisy data can be noise.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from cohortgeo import (
     aice,
     cei_series,
     compute_geometry_field,
+    detect_peaks,
     parse_hmd,
     trim_series,
 )
@@ -131,3 +133,14 @@ class TestAiceComparability:
         base = window_aice(surface)
         for z_scale in (0.01, 0.1, 0.5, 2.0):
             assert window_aice(surface, z_scale) == pytest.approx(base, rel=1e-4, abs=0)
+
+
+class TestNoisePeaks:
+    def test_noise_alone_makes_one_year_peaks(self):
+        # seeds 0-7 with no planted effect: 7 files report 11 peaks in all,
+        # every one a year wide, so min_gap is 1 wherever it is defined
+        reports = [detect_peaks(window_series(planted_surface(seed, 0.0)))
+                   for seed in range(8)]
+        assert sum(bool(r.peaks) for r in reports) >= 6
+        assert all(p.width_years == 1 for r in reports for p in r.peaks)
+        assert {r.min_gap for r in reports} <= {1, None}

@@ -40,6 +40,54 @@ class TestSelfCheck:
                 domain=((0.0, 10.0), (0.0, 10.0)),
             )
 
+    # the years and ages of a 100-year HMD file, one unit of margin each side
+    SWEEP_DOMAIN = ((1899.0, 2001.0), (-1.0, 111.0))
+
+    @pytest.mark.parametrize("seed, family", enumerate(
+        ["plane", "gompertz", "ridge", "bump", "sphere"]))
+    def test_exact_catalog_surfaces_construct_at_any_size(self, seed, family):
+        rng = np.random.default_rng(seed)
+
+        def lu(lo, hi):  # log-uniform
+            return float(np.exp(rng.uniform(math.log(lo), math.log(hi))))
+
+        def sign():
+            return float(rng.choice([-1.0, 1.0]))
+
+        build = {
+            "plane": lambda: smooth.plane(sign() * lu(1e-4, 1e3), sign() * lu(1e-4, 1e3),
+                                          lu(1.0, 1e3), domain=self.SWEEP_DOMAIN),
+            "gompertz": lambda: smooth.gompertz_surface(
+                lu(1e-6, 1e-1), rng.uniform(0.01, 0.12), rng.uniform(-0.03, 0.05),
+                domain=self.SWEEP_DOMAIN),
+            "ridge": lambda: smooth.gaussian_ridge(lu(2.0, 1e3), lu(1e-3, 10.0), 1930.0,
+                                                   domain=self.SWEEP_DOMAIN),
+            "bump": lambda: smooth.gaussian_bump(lu(2.0, 100.0), (1950.0, 55.0),
+                                                 lu(1e-3, 10.0), domain=self.SWEEP_DOMAIN),
+            "sphere": lambda: smooth.sphere_cap(lu(200.0, 1e4), (1950.0, 55.0),
+                                                domain=self.SWEEP_DOMAIN),
+        }[family]
+        for _ in range(400):
+            build()
+
+    @pytest.mark.parametrize("slope", [1e3, 1e4, 1e5])
+    def test_steep_plane_through_the_domain_constructs(self, slope):
+        # f is small where f_t is large: the step's own rounding, not f's,
+        # would dominate a difference taken with a step like 1e-4
+        smooth.plane(slope, 10.0, -1950.0 * slope - 550.0, domain=self.SWEEP_DOMAIN)
+
+    @pytest.mark.parametrize("label, f, f_t, f_x, f_xx", [
+        ("f_xx", lambda t, x: 1e5 + x * x, 0.0, lambda t, x: 2.0 * x, 2.01),
+        ("f_x", lambda t, x: 1e5 * t + x * x, 1e5, lambda t, x: 2.0 * x + 1e-4, 2.0),
+    ], ids=["f_xx-off-by-half-a-percent", "f_x-off-by-1e-4"])
+    def test_small_error_on_a_large_surface_rejected(self, label, f, f_t, f_x, f_xx):
+        def const(value):
+            return lambda t, x: np.full(np.broadcast(t, x).shape, value)
+        with pytest.raises(ValueError, match=f"'mis-derived': {label} disagrees"):
+            AnalyticSurface(name="mis-derived", f=f, f_t=const(f_t), f_x=f_x,
+                            f_tt=const(0.0), f_tx=const(0.0), f_xx=const(f_xx),
+                            domain=((0.0, 10.0), (0.0, 10.0)))
+
     def test_empty_domain_rejected(self):
         with pytest.raises(ValueError):
             smooth.plane(1.0, 1.0, 0.0, domain=((5.0, 5.0), (0.0, 1.0)))

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -18,10 +20,13 @@ from cohortgeo import (
     Sex,
     StructuralError,
     parse_csv_matrix,
+    parse_hmd,
     parse_json,
     prepare_grid,
 )
 from cohortgeo.surface import SurfaceGrid
+
+from conftest import make_hmd_text
 
 
 def make_surface(rates, first_year=2000, first_age=0, sex=Sex.TOTAL, label="test"):
@@ -497,3 +502,44 @@ class TestParserTotality:
         except IngestError:
             return
         assert isinstance(surface, MortalitySurface)
+
+
+# What a rate token reads as in every text format, the contract a faster
+# reader must keep: a float, or the error type and message it raises.
+_RATE_TOKENS = [
+    ("1_0", 10.0), ("0.0_1", 0.01), ("+0.5", 0.5), ("1E-2", 0.01), ("-0.0", -0.0),
+    ("\u0661", 1.0),  # ARABIC-INDIC DIGIT ONE
+    ("inf", (StructuralError, "present rates must be finite")),
+    ("Infinity", (StructuralError, "present rates must be finite")),
+    ("-inf", (StructuralError, "present rates must be finite")),
+    ("1e400", (StructuralError, "present rates must be finite")),
+    ("0x1p3", (FormatError, "unparsable rate '0x1p3'")),
+    ("nan", (FormatError, "rate 'nan' is not a number")),
+    ("-nan", (FormatError, "rate '-nan' is not a number")),
+    ("NaN", (FormatError, "rate 'NaN' is not a number")),
+]
+
+
+class TestRateTokens:
+    @staticmethod
+    def _read_hmd(token):
+        text = make_hmd_text([(2000, 0, token, "0.1", "0.1")])
+        return parse_hmd(text).surfaces[Sex.FEMALE].rates[0, 0]
+
+    @staticmethod
+    def _read_csv(token):
+        return parse_csv_matrix(f"{token},0.1", first_year=2000, first_age=0).rates[0, 0]
+
+    @pytest.mark.parametrize("reader", ["hmd", "csv"])
+    @pytest.mark.parametrize("token, expected", _RATE_TOKENS,
+                             ids=[token for token, _ in _RATE_TOKENS])
+    def test_each_token_reads_the_same_in_both_formats(self, reader, token, expected):
+        read = self._read_hmd if reader == "hmd" else self._read_csv
+        if isinstance(expected, float):
+            value = read(token)
+            assert value == expected
+            assert math.copysign(1.0, value) == math.copysign(1.0, expected)
+        else:
+            error, message = expected
+            with pytest.raises(error, match=re.escape(message)):
+                read(token)
