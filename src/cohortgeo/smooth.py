@@ -2,12 +2,13 @@
 
 Ground truth for the discrete kernel: closed-form first and second
 derivatives give the exact unit normal and the normal curvature along any
-tangent direction via the standard graph-surface fundamental forms. A
-small catalog of surfaces with hand-coded derivatives is provided; every
-construction self-checks each supplied derivative against a central first
-difference of the function one order below it (``f_t`` and ``f_x`` of
-``f``, ``f_tt`` and ``f_tx`` of ``f_t``, ``f_xx`` of ``f_x``) at 100
-random sample points.
+tangent direction via the standard graph-surface fundamental forms. Each
+surface of the small catalog is z = h(q(t, x)) for a form q of degree at
+most 2, and one chain rule gives its derivatives from h', h'' and q's
+gradient and Hessian. Every construction self-checks each supplied
+derivative against a central first difference of the function one order
+below it (``f_t`` and ``f_x`` of ``f``, ``f_tt`` and ``f_tx`` of ``f_t``,
+``f_xx`` of ``f_x``) at 100 random sample points.
 
 For a birth cohort ``c`` the cohort path is ``t -> (t, t - c, f(t, t-c))``.
 The smooth cohort effect index integrates ``|NC_T - NC_N|`` along that path
@@ -65,14 +66,16 @@ class AnalyticSurface:
 
     def __post_init__(self) -> None:
         (t0, t1), (x0, x1) = self.domain
-        if not (t0 < t1 and x0 < x1):
-            raise ValueError(f"empty domain for surface {self.name!r}")
+        if not (0 < t1 - t0 < math.inf and 0 < x1 - x0 < math.inf):
+            raise ValueError(f"surface {self.name!r}: domain {self.domain} needs "
+                             f"a positive, finite extent on each axis")
         self._self_check()
 
     def _self_check(self) -> None:
         # Each derivative must agree with a central first difference of the
         # function one order below it, within _SELF_CHECK_TOL plus that
-        # difference's own rounding noise; a mismatch means a catalog entry
+        # difference's own rounding noise, up to 4 ulps per evaluation (the
+        # chain rule adds two roundings); a mismatch means a catalog entry
         # (or user surface) was mis-derived.
         (t0, t1), (x0, x1) = self.domain
         rng = np.random.default_rng(0)
@@ -91,7 +94,7 @@ class AnalyticSurface:
                 exact = np.asarray(derivative(t, x), dtype=float)
                 up, down = below(t + dt, x + dx), below(t - dt, x - dx)
                 approx = (up - down) / (2 * h)
-                noise = np.finfo(float).eps * (np.abs(up) + np.abs(down)) / h
+                noise = 2 * np.finfo(float).eps * (np.abs(up) + np.abs(down)) / h
             if not (np.isfinite(exact).all() and np.isfinite(approx).all()):
                 raise ValueError(
                     f"surface {self.name!r}: {label} is not finite everywhere "
@@ -201,6 +204,38 @@ def smooth_cei(surface: AnalyticSurface, birth_year: float,
 
 # --- catalog -----------------------------------------------------------------
 
+def _chain(name: str, f: ScalarField, h1: ScalarField, h2: ScalarField,
+           grad: Callable, hess: tuple[float, float, float],
+           domain) -> AnalyticSurface:
+    """The surface f = h(q(t, x)) for a form q of degree at most 2: ``h1``
+    and ``h2`` give h'(q) and h''(q) at (t, x), ``grad`` gives (q_t, q_x)
+    and ``hess`` is the constant (q_tt, q_tx, q_xx), so that f_a = h' q_a
+    and f_ab = h'' q_a q_b + h' q_ab. ``f`` is used as given, so sampled
+    values keep their bits."""
+    def first(a):
+        return lambda t, x: h1(t, x) * grad(t, x)[a]
+
+    def second(a, b, q_ab):
+        def f_ab(t, x):
+            q = grad(t, x)
+            return h2(t, x) * q[a] * q[b] + h1(t, x) * q_ab
+        return f_ab
+
+    return AnalyticSurface(name=name, f=f, f_t=first(0), f_x=first(1),
+                           f_tt=second(0, 0, hess[0]), f_tx=second(0, 1, hess[1]),
+                           f_xx=second(1, 1, hess[2]), domain=domain)
+
+
+def _radial(name: str, f: ScalarField, h1: ScalarField, h2: ScalarField,
+            center: tuple[float, float], domain) -> AnalyticSurface:
+    """z = h(rho^2), rho the distance from ``center``."""
+    t0, x0 = center
+
+    def grad(t, x):
+        return 2.0 * (np.asarray(t, float) - t0), 2.0 * (np.asarray(x, float) - x0)
+    return _chain(name, f, h1, h2, grad, (2.0, 0.0, 2.0), domain)
+
+
 def _const_field(value: float) -> ScalarField:
     def g(t, x):
         shape = np.broadcast(np.asarray(t), np.asarray(x)).shape
@@ -212,16 +247,10 @@ def plane(a: float, b: float, c: float,
           domain=((0.0, 100.0), (0.0, 100.0))) -> AnalyticSurface:
     """z = a t + b x + c. Zero curvature everywhere."""
     a, b, c = float(a), float(b), float(c)
-    return AnalyticSurface(
-        name=f"plane({a},{b},{c})",
-        f=lambda t, x: a * np.asarray(t, float) + b * np.asarray(x, float) + c,
-        f_t=_const_field(a),
-        f_x=_const_field(b),
-        f_tt=_const_field(0.0),
-        f_tx=_const_field(0.0),
-        f_xx=_const_field(0.0),
-        domain=domain,
-    )
+    return _chain(f"plane({a},{b},{c})",
+                  lambda t, x: a * np.asarray(t, float) + b * np.asarray(x, float) + c,
+                  _const_field(1.0), _const_field(0.0), lambda t, x: (a, b),
+                  (0.0, 0.0, 0.0), domain)
 
 
 def sphere_cap(radius: float, center=(0.0, 0.0), domain=None) -> AnalyticSurface:
@@ -236,30 +265,8 @@ def sphere_cap(radius: float, center=(0.0, 0.0), domain=None) -> AnalyticSurface
     def zfun(t, x):
         return np.sqrt(r * r - (np.asarray(t, float) - t0) ** 2
                        - (np.asarray(x, float) - x0) ** 2)
-
-    def f_t(t, x):
-        return -(np.asarray(t, float) - t0) / zfun(t, x)
-
-    def f_x(t, x):
-        return -(np.asarray(x, float) - x0) / zfun(t, x)
-
-    def f_tt(t, x):
-        z = zfun(t, x)
-        return -(z * z + (np.asarray(t, float) - t0) ** 2) / z ** 3
-
-    def f_xx(t, x):
-        z = zfun(t, x)
-        return -(z * z + (np.asarray(x, float) - x0) ** 2) / z ** 3
-
-    def f_tx(t, x):
-        z = zfun(t, x)
-        return -((np.asarray(t, float) - t0) * (np.asarray(x, float) - x0)) / z ** 3
-
-    return AnalyticSurface(
-        name=f"sphere_cap(R={r})",
-        f=zfun, f_t=f_t, f_x=f_x, f_tt=f_tt, f_tx=f_tx, f_xx=f_xx,
-        domain=domain,
-    )
+    return _radial(f"sphere_cap(R={r})", zfun, lambda t, x: -0.5 / zfun(t, x),
+                   lambda t, x: -0.25 / zfun(t, x) ** 3, (t0, x0), domain)
 
 
 def gaussian_ridge(width: float = 50.0, amplitude: float = 1.0,
@@ -288,12 +295,8 @@ def gaussian_ridge(width: float = 50.0, amplitude: float = 1.0,
     def g2(t, x):
         return (4.0 * (u(t, x) - u0) ** 2 / (w * w) - 2.0 / w) * g(t, x)
 
-    return AnalyticSurface(
-        name=f"gaussian_ridge(width={w},amp={amp},center={u0})",
-        f=g, f_t=g1, f_x=lambda t, x: -g1(t, x),
-        f_tt=g2, f_tx=lambda t, x: -g2(t, x), f_xx=g2,
-        domain=domain,
-    )
+    return _chain(f"gaussian_ridge(width={w},amp={amp},center={u0})", g, g1, g2,
+                  lambda t, x: (1.0, -1.0), (0.0, 0.0, 0.0), domain)
 
 
 def gaussian_bump(sigma: float, center=(0.0, 0.0), amplitude: float = 1.0,
@@ -313,31 +316,9 @@ def gaussian_bump(sigma: float, center=(0.0, 0.0), amplitude: float = 1.0,
         dt = np.asarray(t, float) - t0
         dx = np.asarray(x, float) - x0
         return amp * np.exp(-(dt * dt + dx * dx) / (2.0 * s2))
-
-    def f_t(t, x):
-        return -(np.asarray(t, float) - t0) / s2 * g(t, x)
-
-    def f_x(t, x):
-        return -(np.asarray(x, float) - x0) / s2 * g(t, x)
-
-    def f_tt(t, x):
-        dt = np.asarray(t, float) - t0
-        return (dt * dt / s2 - 1.0) / s2 * g(t, x)
-
-    def f_xx(t, x):
-        dx = np.asarray(x, float) - x0
-        return (dx * dx / s2 - 1.0) / s2 * g(t, x)
-
-    def f_tx(t, x):
-        dt = np.asarray(t, float) - t0
-        dx = np.asarray(x, float) - x0
-        return dt * dx / (s2 * s2) * g(t, x)
-
-    return AnalyticSurface(
-        name=f"gaussian_bump(sigma={sigma},amp={amp})",
-        f=g, f_t=f_t, f_x=f_x, f_tt=f_tt, f_tx=f_tx, f_xx=f_xx,
-        domain=domain,
-    )
+    return _radial(f"gaussian_bump(sigma={sigma},amp={amp})", g,
+                   lambda t, x: -g(t, x) / (2.0 * s2),
+                   lambda t, x: g(t, x) / (4.0 * s2 * s2), (t0, x0), domain)
 
 
 def gompertz_surface(base_rate: float = 1e-4, age_slope: float = 0.09,
@@ -345,28 +326,19 @@ def gompertz_surface(base_rate: float = 1e-4, age_slope: float = 0.09,
                      domain=((1900.0, 2000.0), (0.0, 100.0))) -> AnalyticSurface:
     """Separable mortality-like surface: exponential ageing times period decline.
 
-    ``z = base_rate * exp(age_slope * x) * exp(-improvement * (t - t_start))``.
+    ``z = base_rate * exp(age_slope * x) * exp(-improvement * (t - t_start))``,
+    so h = exp and h' = h'' = z.
     """
     base_rate, age_slope = float(base_rate), float(age_slope)
     improvement = float(improvement)
     t_start = domain[0][0]
 
-    def u(t):
-        return np.exp(-improvement * (np.asarray(t, float) - t_start))
-
-    def v(x):
-        return base_rate * np.exp(age_slope * np.asarray(x, float))
-
-    return AnalyticSurface(
-        name=f"gompertz(base={base_rate},age_slope={age_slope},improvement={improvement})",
-        f=lambda t, x: u(t) * v(x),
-        f_t=lambda t, x: (-improvement * u(t)) * v(x),
-        f_x=lambda t, x: u(t) * (age_slope * v(x)),
-        f_tt=lambda t, x: (improvement * improvement * u(t)) * v(x),
-        f_tx=lambda t, x: (-improvement * u(t)) * (age_slope * v(x)),
-        f_xx=lambda t, x: u(t) * (age_slope * age_slope * v(x)),
-        domain=domain,
-    )
+    def f(t, x):
+        return (np.exp(-improvement * (np.asarray(t, float) - t_start))
+                * (base_rate * np.exp(age_slope * np.asarray(x, float))))
+    return _chain(
+        f"gompertz(base={base_rate},age_slope={age_slope},improvement={improvement})",
+        f, f, f, lambda t, x: (-improvement, age_slope), (0.0, 0.0, 0.0), domain)
 
 
 # --- materialization ---------------------------------------------------------

@@ -132,6 +132,22 @@ def test_parameter_rules_live_in_surface_only():
     assert definers == {("surface.py", "_integer"), ("surface.py", "_positive_real")}
 
 
+def test_catalog_derives_through_one_chain_rule():
+    """Every catalog surface is built by ``smooth._chain``: ``smooth.py``
+    calls ``AnalyticSurface(`` once, inside ``_chain``, so no surface
+    hand-derives its partials."""
+    tree = ast.parse(Path(cohortgeo.__file__).with_name("smooth.py").read_text())
+    callers = []
+    for function in ast.walk(tree):
+        if isinstance(function, ast.FunctionDef):
+            callers += [function.name for node in ast.walk(function)
+                        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "AnalyticSurface"]
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "AnalyticSurface"]
+    assert callers == ["_chain"] and len(calls) == 1
+
+
 # --- the benchmark's hooks into the package ----------------------------------
 # perfbench wraps package functions by name and reads result attributes; these
 # checks read its source and never import it.

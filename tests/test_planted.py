@@ -7,9 +7,10 @@ neighbourhood. ``linearized_cei`` sums that from the rates alone, as an
 oracle for the kernel independent of its chords, tangents and ``eigh``.
 
 The AICE properties pin when the index ranks cohort effects: across
-``z_scale`` up to 2, but not across files of different population size or
-calendar span. The peak property pins that noise alone makes one-year
-peaks, so a ``min_gap`` of 1 on noisy data can be noise.
+``z_scale`` up to 2 and across start years up to the window's first birth
+year, but not across files of different population size or calendar span.
+The peak property pins that noise alone makes one-year peaks, so a
+``min_gap`` of 1 on noisy data can be noise.
 """
 
 from __future__ import annotations
@@ -124,6 +125,27 @@ class TestAiceComparability:
         short = window_aice(planted_surface(seed, 0.1, n_years=80))
         long = window_aice(planted_surface(seed, 0.05, n_years=130))
         assert short < long
+
+    @pytest.mark.parametrize("start", [1900, 1922])
+    @pytest.mark.parametrize("amplitude", [0.0, 0.3])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_start_year_up_to_the_first_window_cohort_keeps_aice(self, seed, amplitude,
+                                                                 start):
+        # cohort c's points lie at years t >= c and each needs rows t-1..t+1,
+        # so rows before 1922 never reach the window; seeds 0-7 were
+        # identical for starts up to 1922, and a 1950 start moved AICE by
+        # up to 0.027
+        full = parse_hmd(planted_hmd_text(seed, amplitude, first_year=1850,
+                                          n_years=160)).surfaces[Sex.TOTAL]
+        k = start - 1850
+        cut = MortalitySurface(years=full.years[k:], ages=full.ages, rates=full.rates[k:])
+        lo, hi = DEFAULT_WINDOW
+        a, b = (window_series(surface) for surface in (full, cut))
+        keep_a, keep_b = ((s.birth_years >= lo) & (s.birth_years <= hi) for s in (a, b))
+        assert np.array_equal(a.birth_years[keep_a], b.birth_years[keep_b])
+        assert np.array_equal(a.values[keep_a], b.values[keep_b])
+        assert np.array_equal(a.point_counts[keep_a], b.point_counts[keep_b])
+        assert aice(a).aice == aice(b).aice
 
     @pytest.mark.parametrize("amplitude", AMPLITUDES)
     @pytest.mark.parametrize("seed", SEEDS)

@@ -92,6 +92,16 @@ class TestSelfCheck:
         with pytest.raises(ValueError):
             smooth.plane(1.0, 1.0, 0.0, domain=((5.0, 5.0), (0.0, 1.0)))
 
+    @pytest.mark.parametrize("domain", [((0.0, math.inf), (0.0, 1.0)),
+                                        ((-1e308, 1e308), (0.0, 1.0)),
+                                        ((0.0, 1.0), (math.nan, 1.0))],
+                             ids=["infinite", "extent-overflows", "nan"])
+    def test_domain_without_a_finite_extent_rejected(self, domain):
+        # rng.uniform would raise OverflowError inside the self-check
+        with pytest.raises(ValueError, match=r"^surface 'plane\(1.0,1.0,1.0\)': domain "
+                           r".* needs a positive, finite extent on each axis$"):
+            smooth.plane(1, 1, 1, domain=domain)
+
     def test_surface_off_its_real_domain_rejected(self):
         # a sphere of radius 5 is not real-valued over most of [0, 50]^2
         with pytest.raises(ValueError, match="not finite") as info:
