@@ -35,7 +35,7 @@ from .errors import (
 from .geometry import COHORT, CROSS, GeometryField
 from .surface import (MortalitySurface, Sex, _as_contiguous_int_axis, _as_int64_array,
                       _content_eq, _csv_text, _integer, _json_text, _positive_real,
-                      _store_read_only, _store_sex)
+                      _real, _store_read_only, _store_sex)
 
 DEFAULT_TRIM_YEAR = 1970
 DEFAULT_WINDOW = (1922, 1970)
@@ -165,7 +165,8 @@ class Peak:
         object.__setattr__(self, "start_year", start)
         object.__setattr__(self, "end_year", end)
         object.__setattr__(self, "width_years", end - start + 1)
-        object.__setattr__(self, "max_cei", float(self.max_cei))
+        object.__setattr__(self, "max_cei", _real(self.max_cei, ParameterError(
+            f"peak max_cei must be a real number, not {self.max_cei!r}")))
 
 
 @dataclass(frozen=True)
@@ -193,7 +194,9 @@ class CohortReport:
         object.__setattr__(self, "window", _window_bounds(self.window))
         for key in ("mean", "sample_stdev"):
             if getattr(self, key) is not None:
-                object.__setattr__(self, key, float(getattr(self, key)))
+                error = UndefinedAiceError(
+                    f"aice undefined: {key} is not a real number in the float range")
+                object.__setattr__(self, key, _real(getattr(self, key), error))
         if self.mean is not None and not self.mean > 0.0:
             raise UndefinedAiceError("aice undefined: windowed mean is not positive")
         if not all(np.isfinite(v) for v in (self.mean, self.sample_stdev) if v is not None):

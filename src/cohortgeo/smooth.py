@@ -5,10 +5,12 @@ derivatives give the exact unit normal and the normal curvature along any
 tangent direction via the standard graph-surface fundamental forms. Each
 surface of the small catalog is z = h(q(t, x)) for a form q of degree at
 most 2, and one chain rule gives its derivatives from h', h'' and q's
-gradient and Hessian. Every construction self-checks each supplied
-derivative against a central first difference of the function one order
-below it (``f_t`` and ``f_x`` of ``f``, ``f_tt`` and ``f_tx`` of ``f_t``,
-``f_xx`` of ``f_x``) at 100 random sample points.
+gradient and Hessian; it also converts the coordinates to float arrays
+once, before any formula sees them. Every construction self-checks each
+supplied derivative against a central first difference of the function one
+order below it (``f_t`` and ``f_x`` of ``f``, ``f_tt`` and ``f_tx`` of
+``f_t``, ``f_xx`` of ``f_x``) at 100 random sample points. Every real
+parameter is read once, by ``surface._real``.
 
 For a birth cohort ``c`` the cohort path is ``t -> (t, t - c, f(t, t-c))``.
 The smooth cohort effect index integrates ``|NC_T - NC_N|`` along that path
@@ -28,7 +30,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import CohortGeoError
-from .surface import MortalitySurface, SurfaceGrid, _positive_real
+from .surface import (MortalitySurface, SurfaceGrid, _as_contiguous_int_axis,
+                      _positive_real, _real)
 
 _SELF_CHECK_POINTS = 100
 _SELF_CHECK_TOL = 1e-6
@@ -41,6 +44,12 @@ _REL_TOL = 1e-8
 _MAX_HALVINGS = 20
 
 ScalarField = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def _floats(name: str, *values: object) -> list[float]:
+    """``values`` as floats by :func:`surface._real`, else a ValueError naming ``name``."""
+    error = ValueError(f"{name}: parameters must be real numbers, got {values!r}")
+    return [_real(value, error) for value in values]
 
 
 class QuadratureError(CohortGeoError):
@@ -66,6 +75,7 @@ class AnalyticSurface:
 
     def __post_init__(self) -> None:
         (t0, t1), (x0, x1) = self.domain
+        t0, t1, x0, x1 = _floats(f"surface {self.name!r}: domain", t0, t1, x0, x1)
         if not (0 < t1 - t0 < math.inf and 0 < x1 - x0 < math.inf):
             raise ValueError(f"surface {self.name!r}: domain {self.domain} needs "
                              f"a positive, finite extent on each axis")
@@ -127,8 +137,8 @@ def smooth_normal_curvature(surface: AnalyticSurface, point, direction) -> float
     upward normal: ``(d^T H d) / (|lifted d|^2 sqrt(1 + |grad f|^2))``.
     Invariant under scaling of ``direction``.
     """
-    t, x = float(point[0]), float(point[1])
-    dt, dx = float(direction[0]), float(direction[1])
+    t, x, dt, dx = _floats("smooth_normal_curvature", point[0], point[1],
+                           direction[0], direction[1])
     if dt == 0.0 and dx == 0.0:
         raise ValueError("direction must be nonzero")
     return float(_nc_dir(surface, np.asarray(t), np.asarray(x), dt, dx))
@@ -169,10 +179,9 @@ def smooth_cei(surface: AnalyticSurface, birth_year: float,
     two successive refinements agree to 1e-8 relative. Raises
     :class:`QuadratureError` after 20 halvings without agreement.
     """
-    a, b = float(t_range[0]), float(t_range[1])
+    a, b, c = _floats("smooth_cei", t_range[0], t_range[1], birth_year)
     if not a < b:
         raise ValueError(f"empty integration range [{a}, {b}]")
-    c = float(birth_year)
     for endpoint in (a, b):
         if not surface.contains(endpoint, endpoint - c):
             raise ValueError(
@@ -211,17 +220,20 @@ def _chain(name: str, f: ScalarField, h1: ScalarField, h2: ScalarField,
     and ``h2`` give h'(q) and h''(q) at (t, x), ``grad`` gives (q_t, q_x)
     and ``hess`` is the constant (q_tt, q_tx, q_xx), so that f_a = h' q_a
     and f_ab = h'' q_a q_b + h' q_ab. ``f`` is used as given, so sampled
-    values keep their bits."""
+    values keep their bits; all six take (t, x) as float arrays from here."""
+    def on_floats(g):
+        return lambda t, x: g(np.asarray(t, float), np.asarray(x, float))
+
     def first(a):
-        return lambda t, x: h1(t, x) * grad(t, x)[a]
+        return on_floats(lambda t, x: h1(t, x) * grad(t, x)[a])
 
     def second(a, b, q_ab):
         def f_ab(t, x):
             q = grad(t, x)
             return h2(t, x) * q[a] * q[b] + h1(t, x) * q_ab
-        return f_ab
+        return on_floats(f_ab)
 
-    return AnalyticSurface(name=name, f=f, f_t=first(0), f_x=first(1),
+    return AnalyticSurface(name=name, f=on_floats(f), f_t=first(0), f_x=first(1),
                            f_tt=second(0, 0, hess[0]), f_tx=second(0, 1, hess[1]),
                            f_xx=second(1, 1, hess[2]), domain=domain)
 
@@ -230,25 +242,19 @@ def _radial(name: str, f: ScalarField, h1: ScalarField, h2: ScalarField,
             center: tuple[float, float], domain) -> AnalyticSurface:
     """z = h(rho^2), rho the distance from ``center``."""
     t0, x0 = center
-
-    def grad(t, x):
-        return 2.0 * (np.asarray(t, float) - t0), 2.0 * (np.asarray(x, float) - x0)
-    return _chain(name, f, h1, h2, grad, (2.0, 0.0, 2.0), domain)
+    return _chain(name, f, h1, h2, lambda t, x: (2.0 * (t - t0), 2.0 * (x - x0)),
+                  (2.0, 0.0, 2.0), domain)
 
 
 def _const_field(value: float) -> ScalarField:
-    def g(t, x):
-        shape = np.broadcast(np.asarray(t), np.asarray(x)).shape
-        return np.full(shape, value, dtype=float)
-    return g
+    return lambda t, x: np.full(np.broadcast(t, x).shape, value, dtype=float)
 
 
 def plane(a: float, b: float, c: float,
           domain=((0.0, 100.0), (0.0, 100.0))) -> AnalyticSurface:
     """z = a t + b x + c. Zero curvature everywhere."""
-    a, b, c = float(a), float(b), float(c)
-    return _chain(f"plane({a},{b},{c})",
-                  lambda t, x: a * np.asarray(t, float) + b * np.asarray(x, float) + c,
+    a, b, c = _floats("plane", a, b, c)
+    return _chain(f"plane({a},{b},{c})", lambda t, x: a * t + b * x + c,
                   _const_field(1.0), _const_field(0.0), lambda t, x: (a, b),
                   (0.0, 0.0, 0.0), domain)
 
@@ -257,14 +263,13 @@ def sphere_cap(radius: float, center=(0.0, 0.0), domain=None) -> AnalyticSurface
     """Upper cap of a sphere: umbilic, normal curvature -1/R in every direction."""
     r = _positive_real(radius, ValueError(
         f"radius must be positive and finite, got {radius!r}"))
-    t0, x0 = float(center[0]), float(center[1])
+    t0, x0 = _floats("sphere_cap", center[0], center[1])
     if domain is None:
         half = 0.5 * r / math.sqrt(2.0)
         domain = ((t0 - half, t0 + half), (x0 - half, x0 + half))
 
     def zfun(t, x):
-        return np.sqrt(r * r - (np.asarray(t, float) - t0) ** 2
-                       - (np.asarray(x, float) - x0) ** 2)
+        return np.sqrt(r * r - (t - t0) ** 2 - (x - x0) ** 2)
     return _radial(f"sphere_cap(R={r})", zfun, lambda t, x: -0.5 / zfun(t, x),
                    lambda t, x: -0.25 / zfun(t, x) ** 3, (t0, x0), domain)
 
@@ -280,20 +285,16 @@ def gaussian_ridge(width: float = 50.0, amplitude: float = 1.0,
     ``width`` must be positive and finite.
     """
     w = _positive_real(width, ValueError(f"width must be positive and finite, got {width!r}"))
-    amp = float(amplitude)
-    u0 = float(center)
-
-    def u(t, x):
-        return np.asarray(t, float) - np.asarray(x, float)
+    amp, u0 = _floats("gaussian_ridge", amplitude, center)
 
     def g(t, x):
-        return amp * np.exp(-((u(t, x) - u0) ** 2) / w)
+        return amp * np.exp(-((t - x - u0) ** 2) / w)
 
     def g1(t, x):
-        return -2.0 * (u(t, x) - u0) / w * g(t, x)
+        return -2.0 * (t - x - u0) / w * g(t, x)
 
     def g2(t, x):
-        return (4.0 * (u(t, x) - u0) ** 2 / (w * w) - 2.0 / w) * g(t, x)
+        return (4.0 * (t - x - u0) ** 2 / (w * w) - 2.0 / w) * g(t, x)
 
     return _chain(f"gaussian_ridge(width={w},amp={amp},center={u0})", g, g1, g2,
                   lambda t, x: (1.0, -1.0), (0.0, 0.0, 0.0), domain)
@@ -302,19 +303,20 @@ def gaussian_ridge(width: float = 50.0, amplitude: float = 1.0,
 def gaussian_bump(sigma: float, center=(0.0, 0.0), amplitude: float = 1.0,
                   domain=None) -> AnalyticSurface:
     """Radially symmetric bump ``amp * exp(-rho^2 / (2 sigma^2))``, for a
-    positive and finite ``sigma``."""
+    positive and finite ``sigma`` whose square is finite."""
     sigma = _positive_real(sigma, ValueError(
         f"sigma must be positive and finite, got {sigma!r}"))
-    s2 = sigma ** 2  # ** raises OverflowError where sigma * sigma gives inf
-    amp = float(amplitude)
-    t0, x0 = float(center[0]), float(center[1])
+    try:
+        s2 = sigma ** 2  # not sigma * sigma, which rounds differently for some sigma
+    except OverflowError:
+        raise ValueError(f"sigma is too large to square, got {sigma!r}") from None
+    amp, t0, x0 = _floats("gaussian_bump", amplitude, center[0], center[1])
     if domain is None:
         r = 4.0 * sigma
         domain = ((t0 - r, t0 + r), (x0 - r, x0 + r))
 
     def g(t, x):
-        dt = np.asarray(t, float) - t0
-        dx = np.asarray(x, float) - x0
+        dt, dx = t - t0, x - x0
         return amp * np.exp(-(dt * dt + dx * dx) / (2.0 * s2))
     return _radial(f"gaussian_bump(sigma={sigma},amp={amp})", g,
                    lambda t, x: -g(t, x) / (2.0 * s2),
@@ -329,13 +331,11 @@ def gompertz_surface(base_rate: float = 1e-4, age_slope: float = 0.09,
     ``z = base_rate * exp(age_slope * x) * exp(-improvement * (t - t_start))``,
     so h = exp and h' = h'' = z.
     """
-    base_rate, age_slope = float(base_rate), float(age_slope)
-    improvement = float(improvement)
-    t_start = domain[0][0]
+    base_rate, age_slope, improvement, t_start = _floats(
+        "gompertz_surface", base_rate, age_slope, improvement, domain[0][0])
 
     def f(t, x):
-        return (np.exp(-improvement * (np.asarray(t, float) - t_start))
-                * (base_rate * np.exp(age_slope * np.asarray(x, float))))
+        return np.exp(-improvement * (t - t_start)) * (base_rate * np.exp(age_slope * x))
     return _chain(
         f"gompertz(base={base_rate},age_slope={age_slope},improvement={improvement})",
         f, f, f, lambda t, x: (-improvement, age_slope), (0.0, 0.0, 0.0), domain)
@@ -348,11 +348,16 @@ def sample_grid(surface: AnalyticSurface,
                 x_start: float, x_stop: float,
                 step: float = 1.0) -> SurfaceGrid:
     """Evaluate the surface on a regular grid (any positive step)."""
-    _positive_real(step, ValueError("step must be positive"))
-    nt = int(math.floor((t_stop - t_start) / step + 1e-9)) + 1
-    nx = int(math.floor((x_stop - x_start) / step + 1e-9)) + 1
-    t = t_start + step * np.arange(nt)
-    x = x_start + step * np.arange(nx)
+    t_start, t_stop, x_start, x_stop = _floats("sample_grid", t_start, t_stop, x_start, x_stop)
+    step = _positive_real(step, ValueError("step must be positive"))
+
+    def axis(name: str, start: float, stop: float) -> np.ndarray:
+        steps = (stop - start) / step + 1e-9
+        if abs(steps) == math.inf:
+            raise ValueError(f"sample_grid: ({name}_stop - {name}_start) / step is infinite")
+        return start + step * np.arange(math.floor(steps) + 1)
+
+    t, x = axis("t", t_start, t_stop), axis("x", x_start, x_stop)
     z = surface.f(t[:, None], x[None, :])
     return SurfaceGrid(t=t, x=x, z=np.asarray(z, dtype=float))
 
@@ -361,15 +366,12 @@ def materialize_mortality_surface(surface: AnalyticSurface,
                                   years, ages) -> MortalitySurface:
     """Sample on an integer year/age grid and wrap as a mortality surface.
 
-    Values must be nonnegative (mortality-surface invariant); pick catalog
-    parameters accordingly.
+    The axes are read by the integer-axis rule before sampling. Values must
+    be nonnegative (mortality-surface invariant); pick catalog parameters
+    accordingly.
     """
-    years = np.asarray(years)
-    ages = np.asarray(ages)
+    years = _as_contiguous_int_axis(years, "years")
+    ages = _as_contiguous_int_axis(ages, "ages")
     z = surface.f(years.astype(float)[:, None], ages.astype(float)[None, :])
-    return MortalitySurface(
-        years=years,
-        ages=ages,
-        rates=np.asarray(z, dtype=float),
-        source_label=surface.name,
-    )
+    return MortalitySurface(years=years, ages=ages, rates=np.asarray(z, dtype=float),
+                            source_label=surface.name)

@@ -47,15 +47,20 @@ def _integer(value: object, error: Exception) -> int:
     return int(value)
 
 
-def _positive_real(value: object, error: Exception) -> float:
-    """A non-bool ``numbers.Real`` in (0, inf) as a float, else raise ``error``;
-    an int beyond the float range is refused like infinity."""
+def _real(value: object, error: Exception) -> float:
+    """A non-bool ``numbers.Real`` as a float, else raise ``error``; an int
+    beyond the float range is refused, while NaN and the infinities pass."""
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise error
     try:
-        value = float(value)
+        return float(value)
     except OverflowError:
         raise error from None
+
+
+def _positive_real(value: object, error: Exception) -> float:
+    """A :func:`_real` in (0, inf), else raise ``error``."""
+    value = _real(value, error)
     if not 0 < value < math.inf:
         raise error
     return value
@@ -72,13 +77,12 @@ def _as_int64_array(values: Iterable[int], what: str) -> np.ndarray:
         # Floats, bools, unsigned ints and Python ints beyond 64 bits (object
         # arrays). A list's items are always checked: numpy rounds a list mixing
         # an int above 2**53 with a float, and reads ints mixed with bools as int64.
-        items = values if isinstance(values, list) else arr.tolist()
-        if not all((isinstance(v, numbers.Integral) and not isinstance(v, bool))
-                   or (isinstance(v, float) and v.is_integer()) for v in items):
-            raise StructuralError(f"{what} must be integers")
+        error = StructuralError(f"{what} must be integers")
+        items = [int(v) if isinstance(v, float) and v.is_integer() else _integer(v, error)
+                 for v in (values if isinstance(values, list) else arr.tolist())]
         if not all(-2**63 <= v < 2**63 for v in items):
             raise StructuralError(f"{what} must fit in a 64-bit integer")
-        return np.array([int(v) for v in items], dtype=np.int64)
+        return np.array(items, dtype=np.int64)
     return arr.astype(np.int64)
 
 

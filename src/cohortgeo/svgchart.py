@@ -15,6 +15,7 @@ import sys
 from typing import Sequence
 
 from .analytics import CEISeries, Peak, _window_bounds
+from .surface import _real
 
 _PALETTE = ("#1b6ca8", "#c2432f", "#3a7d44", "#7d3a96", "#b07d2b", "#2b7d7d")
 _MARGIN_LEFT = 62.0
@@ -75,8 +76,9 @@ def render_series_chart(
 
     margin_top = 34.0 if title else 16.0
     x0 = _MARGIN_LEFT
-    x1 = float(width) - _MARGIN_RIGHT
-    y0 = float(height) - _MARGIN_BOTTOM
+    size = ValueError(f"chart size must be real numbers, not {(width, height)!r}")
+    x1 = _real(width, size) - _MARGIN_RIGHT
+    y0 = _real(height, size) - _MARGIN_BOTTOM
     y1 = margin_top + (16.0 if peaks else 0.0)
     if x1 <= x0 or y0 <= y1:
         raise ValueError("chart dimensions too small for the fixed margins")

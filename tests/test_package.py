@@ -148,6 +148,67 @@ def test_catalog_derives_through_one_chain_rule():
     assert callers == ["_chain"] and len(calls) == 1
 
 
+def test_oracle_converts_coordinates_in_its_chain_rule_only():
+    """``smooth.py`` converts coordinates once: every ``np.asarray(t, float)``
+    and ``np.asarray(x, float)`` is inside ``_chain``, so no catalog formula
+    converts its own."""
+    tree = ast.parse(Path(cohortgeo.__file__).with_name("smooth.py").read_text())
+    owners = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "asarray" and node.args
+                    and isinstance(node.args[0], ast.Name) and node.args[0].id in ("t", "x")):
+                continue
+            dtypes = node.args[1:] + [k.value for k in node.keywords if k.arg == "dtype"]
+            if any(isinstance(d, ast.Name) and d.id == "float" for d in dtypes):
+                owners.append(top.name)
+    assert owners == ["_chain", "_chain"]
+
+
+def test_real_parameters_are_not_read_with_float():
+    """``smooth.py``, ``analytics.py`` and ``svgchart.py`` read real
+    parameters through ``surface._real``: no ``float(`` call takes a
+    parameter, a subscript of one, or, in ``__post_init__``, a field
+    (``self.<field>`` or ``getattr(self, ...)``)."""
+    def reads_a_parameter(arg, params, post_init):
+        while isinstance(arg, ast.Subscript):
+            arg = arg.value
+        if isinstance(arg, ast.Name):
+            return arg.id in params
+        return post_init and (
+            (isinstance(arg, ast.Attribute) and isinstance(arg.value, ast.Name)
+             and arg.value.id == "self")
+            or (isinstance(arg, ast.Call) and isinstance(arg.func, ast.Name)
+                and arg.func.id == "getattr" and isinstance(arg.args[0], ast.Name)
+                and arg.args[0].id == "self"))
+
+    offenders = []
+    for name in ("smooth.py", "analytics.py", "svgchart.py"):
+        tree = ast.parse(Path(cohortgeo.__file__).with_name(name).read_text())
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = function.args
+            params = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+                      + [a.vararg, a.kwarg] if p is not None}
+            offenders += [f"{name}:{node.lineno} {ast.unparse(node)}"
+                          for node in ast.walk(function)
+                          if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                          and node.func.id == "float" and node.args
+                          and reads_a_parameter(node.args[0], params,
+                                                function.name == "__post_init__")]
+    assert offenders == []
+
+
+def test_real_rule_lives_in_surface_only():
+    definers = {path.name for path in Path(cohortgeo.__file__).parent.glob("*.py")
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name == "_real"}
+    assert definers == {"surface.py"}
+
+
 # --- the benchmark's hooks into the package ----------------------------------
 # perfbench wraps package functions by name and reads result attributes; these
 # checks read its source and never import it.
