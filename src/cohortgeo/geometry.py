@@ -450,67 +450,80 @@ def compute_point_geometry(grid: SurfaceGrid, i: int, j: int):
 def _kernel_rows(grid: SurfaceGrid, rows: slice, out: tuple[np.ndarray, ...]) -> None:
     """Kernel over the interior ``rows``, reading one halo row each side.
 
-    Builds the block's ``(h+2, nx, 3)`` point slab from ``grid``'s rows and
-    applies the validity rule under one ``errstate`` that silences every
+    Reads the block's coordinates as they are, ``t`` as a column, ``x`` as a
+    row and ``z`` as a plane, and keeps every vector quantity as three
+    ``(h, nx-2)`` component planes, so each operation runs over whole planes.
+    The validity rule is applied under one ``errstate`` that silences every
     intermediate. ``out`` holds full-grid arrays with zero border rows and
     columns: ``(valid, normals, normal_curvatures)``, optionally followed
-    by ``(tangents, curvature_vectors)``. The block's results are zeroed
-    at rejected points and copied into their own rows of each array in
-    ``out``, so blocks may run concurrently; unit tangents and curvature
-    vectors that ``out`` does not ask for stay block temporaries. Same
-    arithmetic as :func:`compute_point_geometry` at each valid point.
+    by ``(tangents, curvature_vectors)``. The block's valid points are
+    copied into their own rows of each array in ``out``, so blocks may run
+    concurrently; unit tangents and curvature vectors that ``out`` does not
+    ask for stay block temporaries. Same arithmetic as
+    :func:`compute_point_geometry` at each valid point.
     """
     nx = grid.x.size
     r0, r1 = rows.start, rows.stop
     h = r1 - r0
-    P = np.empty((h + 2, nx, 3))
-    P[..., 0] = grid.t[r0 - 1:r1 + 1, None]
-    P[..., 1] = grid.x
-    P[..., 2] = grid.z[r0 - 1:r1 + 1]
-    center = P[1:-1, 1:-1]
+    t, x, z = grid.t[r0 - 1:r1 + 1, None], grid.x[None, :], grid.z[r0 - 1:r1 + 1]
+
+    def points(di: int, dj: int) -> tuple[np.ndarray, ...]:
+        return (t[1 + di:h + 1 + di], x[:, 1 + dj:nx - 1 + dj],
+                z[1 + di:h + 1 + di, 1 + dj:nx - 1 + dj])
+
+    center = points(0, 0)
     valid = np.ones((h, nx - 2), dtype=bool)
-    V = np.empty((h, nx - 2, 4, 3))
-    CV = np.empty((h, nx - 2, 4, 3))
+    # V[k, i] and CV[k, i]: component i of stencil k's vector at each point
+    V = np.empty((4, 3, h, nx - 2))
+    CV = np.empty((4, 3, h, nx - 2))
     with np.errstate(all="ignore"):
-        for k, ((di0, dj0), (di2, dj2)) in enumerate(_STENCIL_OFFSETS):
-            q0 = P[1 + di0:h + 1 + di0, 1 + dj0:nx - 1 + dj0]
-            q2 = P[1 + di2:h + 1 + di2, 1 + dj2:nx - 1 + dj2]
-            c01 = center - q0
-            c12 = q2 - center
-            a = np.sqrt(c01[..., 0] ** 2 + c01[..., 1] ** 2 + c01[..., 2] ** 2)
-            b = np.sqrt(c12[..., 0] ** 2 + c12[..., 1] ** 2 + c12[..., 2] ** 2)
+        for k, (at0, at2) in enumerate(_STENCIL_OFFSETS):
+            q0, q2 = points(*at0), points(*at2)
+            c01 = [c - q for c, q in zip(center, q0)]
+            c12 = [q - c for q, c in zip(q2, center)]
+            a = np.sqrt(c01[0] ** 2 + c01[1] ** 2 + c01[2] ** 2)
+            b = np.sqrt(c12[0] ** 2 + c12[1] ** 2 + c12[2] ** 2)
             ab = a + b
-            s1 = (a / ab)[..., None]
-            T = _ls_slope(q0, center, q2, 0.0, s1, 1.0)
-            nT = np.sqrt(T[..., 0] ** 2 + T[..., 1] ** 2 + T[..., 2] ** 2)
+            s1 = a / ab
+            T = _ls_slopes(q0, center, q2, 0.0, s1, 1.0)
+            nT = np.sqrt(T[0] ** 2 + T[1] ** 2 + T[2] ** 2)
             valid &= ((a > 0) & (b > 0) & (ab < np.inf)
                       & (nT >= _TANGENT_EPS) & (nT < np.inf))
-            # _ls_slope reads the contiguous vk: the strided V[..., k, :] is slower
-            vk = T / nT[..., None]
-            u0 = c01 / a[..., None]
-            u2 = c12 / b[..., None]
-            dV = _ls_slope(u0, vk, u2, 0.5 * (0.0 + s1), s1, 0.5 * (s1 + 1.0))
-            V[..., k, :] = vk
-            CV[..., k, :] = dV / nT[..., None]
+            for Ti, Vi in zip(T, V[k]):
+                np.divide(Ti, nT, out=Vi)
+            dV = _ls_slopes([c / a for c in c01], V[k], [c / b for c in c12],
+                            0.5 * (0.0 + s1), s1, 0.5 * (s1 + 1.0))
+            for dVi, CVi in zip(dV, CV[k]):
+                np.divide(dVi, nT, out=CVi)
 
-        M = np.einsum("yxki,yxkj->yxij", V, V)
+        # Each sum runs from zero in einsum's order, so the bits (the sign
+        # of a zero too) are those of np.einsum("yxki,yxkj->yxij", V, V) and,
+        # for the normal curvatures, of np.einsum("yxi,yxki->yxk", n, CV).
+        M = np.empty((h, nx - 2, 3, 3))
+        for i in range(3):
+            for j in range(i + 1):
+                M[..., i, j] = M[..., j, i] = sum(V[:, i] * V[:, j], 0.0)
         # eigh needs clean input at rejected points; the identity is harmless there.
-        M = np.where(valid[..., None, None], M, np.eye(3))
+        M[~valid] = np.eye(3)
         w, vecs = np.linalg.eigh(M)
         valid &= (w[..., 1] - w[..., 0]) >= _EIGENGAP_TOL
-        n = vecs[..., :, 0]
-        flip = (n[..., 2] < 0) | (
-            (n[..., 2] == 0)
-            & ((n[..., 0] < 0) | ((n[..., 0] == 0) & (n[..., 1] < 0)))
-        )
-        # einsum's last bits depend on layout: n must be contiguous here
-        n = np.where(flip[..., None], -n, n)
-        NC = np.einsum("yxi,yxki->yxk", n, CV)
+        e = np.moveaxis(vecs[..., 0], -1, 0)
+        flip = (e[2] < 0) | ((e[2] == 0) & ((e[0] < 0) | ((e[0] == 0) & (e[1] < 0))))
+        n = np.where(flip, -e, e)
+        NC = 0.0 + n[0] * CV[:, 0] + n[2] * CV[:, 2] + n[1] * CV[:, 1]
 
-    rejected = ~valid
     for block, dest in zip((valid, n, NC, V, CV), out):
-        block[rejected] = 0
-        dest[rows, 1:-1] = block
+        # dest's grid axes moved last match the block's component planes
+        np.copyto(np.moveaxis(dest[rows, 1:-1], (0, 1), (-2, -1)), block, where=valid)
+
+
+def _ls_slopes(v0, v1, v2, s0, s1, s2) -> list[np.ndarray]:
+    """:func:`_ls_slope` of each component of ``v0``, ``v1`` and ``v2``, with
+    the weights worked out once."""
+    d0 = s0 - s1
+    d2 = s2 - s1
+    den = d0 * d0 + d2 * d2
+    return [(d0 * (p0 - p1) + d2 * (p2 - p1)) / den for p0, p1, p2 in zip(v0, v1, v2)]
 
 
 def _worker_count(n_blocks: int) -> int:

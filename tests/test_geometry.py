@@ -33,12 +33,15 @@ from cohortgeo import (
     DegenerateTangentError,
     GeometryError,
     GeometryOptions,
+    Sex,
     StructuralError,
     SurfaceSizeError,
+    parse_hmd,
 )
 from cohortgeo.geometry import AGE, PERIOD
 from cohortgeo.surface import SurfaceGrid
 
+from conftest import planted_hmd_text
 from test_surface import make_surface
 
 
@@ -607,6 +610,26 @@ def hmd_like(ny: int, nx: int, seed: int, holes: int = 0):
     return rates
 
 
+def float_axes(ny: int, nx: int, seed: int):
+    """``hmd_like`` rates on non-uniform float axes (year steps of 0.5, 1 or
+    2, age steps between 0.25 and 1.5) with a few missing cells and one
+    value whose squared chord lengths overflow."""
+    rng = np.random.default_rng(seed)
+    t = 1900.0 + np.cumsum(rng.choice([0.5, 1.0, 2.0], ny))
+    x = np.cumsum(rng.uniform(0.25, 1.5, nx))
+    z = hmd_like(ny, nx, seed, holes=8)
+    z[ny // 2, nx // 3] = 1e200
+    return SurfaceGrid(t=t, x=x, z=z)
+
+
+def mixed_signs(ny: int, nx: int, seed: int):
+    """Values of either sign spread over 57 decades, on integer axes: many
+    products inside a normal curvature underflow to a signed zero."""
+    rng = np.random.default_rng(seed)
+    z = rng.choice([-1.0, 1.0], (ny, nx)) * 10.0 ** rng.uniform(-35, 22, (ny, nx))
+    return SurfaceGrid(t=np.arange(ny), x=np.arange(nx), z=z)
+
+
 GOLDEN_CASES = {
     "holes_300x200": lambda: (make_surface(hmd_like(300, 200, 1, holes=120)), None),
     "huge_cell_400x120": lambda: (one_huge_cell(400, 120), None),
@@ -616,11 +639,20 @@ GOLDEN_CASES = {
                                  GeometryOptions(z_scale=37.0)),
     "three_rows": lambda: (make_surface(hmd_like(3, 150, 3, holes=2)), None),
     "hmd_270x111": lambda: (make_surface(hmd_like(270, 111, 4, holes=30)), None),
+    "float_axes_160x90": lambda: (float_axes(160, 90, 8), None),
+    "mixed_signs_40x40": lambda: (mixed_signs(40, 40, 0), None),
 }
 
 # sha256 of each field array's bytes: block size, block layout and threading
 # must not move a single bit.
 GOLDEN_DIGESTS = {
+    'float_axes_160x90': (
+        '3f7de4d2908648017f52a5f99f97ca869638bab5b11b356ff0c81d6f44b0e4ae',
+        'de6f9598a9b794371582c20b97bfed4ff132ce24f8689db6d5641e75795a2a71',
+        'abdd2fd86856d7b8531b8f71476b2295813187584ab1ede9e89d3689a137bb31',
+        '5deff5ebd3efa89d7dea8b089df95bd71f4681ad98348386c5ec41782dcbe0b3',
+        '9f355b66f6ca865f4734f5608f5c5b4830790558da0d592fe03c996a29133728',
+    ),
     'hmd_270x111': (
         '7c14d9750019a8405a8501768103e56939f5e6389d71e162dab2f052405672f9',
         '38e62120e93dff755cc2e6881eeb8d2a0d41ea2b5062f20c3993b123068d4198',
@@ -649,6 +681,13 @@ GOLDEN_DIGESTS = {
         '7baf4acf422151a845ffbec917fde5557f72cde13520f874b0d9731202f0ed94',
         'e43a981d3cd4c8c09561ca2e96a1ed4e7be5530e55b7b8c261501bbb7719105e',
     ),
+    'mixed_signs_40x40': (
+        '5a4b2d8d9dd64ba4ffc6cb267e3348df7727355e25e23e767d3119518e81f504',
+        '7247a5fce5a6669d1181ffba5c8f4eea24be1a5636114657ccc5e751f70449c4',
+        '17707d944049287836b1980c226a59c256e3e7207714519497cfd9263b2ac35e',
+        '1fddecf5712169cab68a5cc3b70577edd0acade87947776cc81e29206cf4e465',
+        '520ff6678799074d46c11e1e383210515728bb6270bdcaf35974b7f884bc12b5',
+    ),
     'ridge_z_scale_37': (
         '5c1cf42cd36d8c2ef90abebd2fb78d5ba66f2d41eeaff9ef65f4b58045f2471c',
         'd723cb64a5b85b94c0a3b04a489fb20723c178a16f7bb81011e655c1d5185aef',
@@ -676,7 +715,7 @@ class TestGoldenFields:
     @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
     def test_field_bytes(self, monkeypatch, case):
         surface, options = GOLDEN_CASES[case]()
-        nx = surface.rates.shape[1]
+        nx = cg.prepare_grid(surface, options).shape[1]
         assert cg.compute_geometry_field(surface, options).valid.any()
         for points in (geometry._BLOCK_POINTS, nx, 7 * nx + 3):
             monkeypatch.setattr(geometry, "_BLOCK_POINTS", points)
@@ -1017,6 +1056,11 @@ class TestKernelProperties:
             assert not field[name][~valid].any(), name
 
     @settings(max_examples=100, deadline=None)
+    @given(grid=rate_grids())
+    def test_negated_rates_mirror_the_field(self, grid):
+        assert_z_mirror(grid)
+
+    @settings(max_examples=100, deadline=None)
     @given(grid=rate_grids(), shift=st.integers(-10**6, 10**6))
     def test_integer_axis_shift_is_exact(self, grid, shift):
         field = field_arrays(cg.compute_geometry_field(grid))
@@ -1057,6 +1101,28 @@ class TestKernelProperties:
             b.normals.transpose(1, 0, 2)[..., [1, 0, 2]],
             b.normal_curvatures.transpose(1, 0, 2)[..., [COHORT, CROSS, AGE, PERIOD]],
             scale=max_abs(grid.z))
+
+
+def assert_z_mirror(grid):
+    """The field of ``-z`` mirrors the field of ``z`` bit for bit: reflecting
+    z reflects every chord, tangent and curvature vector, and the normal,
+    oriented to +z, becomes ``(-n_t, -n_x, n_z)``. So validity is equal and,
+    wherever ``n_z > 0``, each normal curvature is negated."""
+    a = cg.compute_geometry_field(grid)
+    b = cg.compute_geometry_field(SurfaceGrid(t=grid.t, x=grid.x, z=-grid.z))
+    assert np.array_equal(b.valid, a.valid)
+    up = a.valid & (a.normals[..., 2] > 0)
+    assert np.array_equal(b.normals[up], a.normals[up] * [-1.0, -1.0, 1.0])
+    assert np.array_equal(b.normal_curvatures[up], -a.normal_curvatures[up])
+    return up
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_negated_planted_rates_mirror_the_field(seed):
+    surface = parse_hmd(planted_hmd_text(seed, 0.3)).surfaces[Sex.TOTAL]
+    grid = cg.prepare_grid(surface)
+    up = assert_z_mirror(grid)
+    assert up.sum() == grid.z.size - 2 * sum(grid.shape) + 4
 
 
 def max_abs(z: np.ndarray) -> float:
