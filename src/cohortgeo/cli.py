@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 import tempfile
 from pathlib import Path
@@ -182,7 +183,18 @@ def _emit(text: str, output_path: str | None) -> None:
         return
     # join keeps an absolute path as it is and an empty base adds nothing
     target = os.path.join(os.environ.get(_OUTPUT_DIR_ENV, ""), output_path)
-    directory = os.path.dirname(os.path.abspath(target))
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = stat.S_IFREG
+    if not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
+        # a pipe or device cannot be replaced, only written into
+        with open(target, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        return
+    # rename over the file a symlink names, so the link survives
+    target = os.path.realpath(target)
+    directory = os.path.dirname(target)
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cohortgeo-", suffix=".tmp")
     try:

@@ -45,13 +45,13 @@ infinite length, without a numpy warning. Border and rejected points are
 flagged invalid and carry zero fields.
 All functions are pure. :func:`compute_geometry_field` is a vectorized map
 over independent grid points, run in cache-sized blocks of interior rows.
-Each block builds its points from the grid's rows plus one halo row above
-and below and writes straight into its rows of the result, so besides the
-result no scratch array grows with the grid; the tangents and curvature
-vectors exist only per block. Blocks run on a thread pool only when the
-grid has more than ``_SERIAL_POINTS`` points (no HMD table does); since
-every point sees the same arithmetic, the result is bit-identical to a
-single pass over the whole grid whatever the block height or scheduling.
+Each block reads the grid's rows plus one halo row each side, keeps every
+vector as per-block component planes and writes straight into its rows of
+the result, so besides the result no scratch array grows with the grid.
+Blocks run on a thread pool only when the grid has more than
+``_SERIAL_POINTS`` points (no HMD table does); since every point sees the
+same arithmetic, the result is bit-identical to a single pass over the
+whole grid whatever the block height or scheduling.
 """
 
 from __future__ import annotations
@@ -450,32 +450,23 @@ def compute_point_geometry(grid: SurfaceGrid, i: int, j: int):
 def _kernel_rows(grid: SurfaceGrid, rows: slice, out: tuple[np.ndarray, ...]) -> None:
     """Kernel over the interior ``rows``, reading one halo row each side.
 
-    Reads the block's coordinates as they are, ``t`` as a column, ``x`` as a
-    row and ``z`` as a plane, and keeps every vector quantity as three
-    ``(h, nx-2)`` component planes, so each operation runs over whole planes.
-    The validity rule is applied under one ``errstate`` that silences every
-    intermediate. ``out`` holds full-grid arrays with zero border rows and
-    columns: ``(valid, normals, normal_curvatures)``, optionally followed
-    by ``(tangents, curvature_vectors)``. The block's valid points are
-    copied into their own rows of each array in ``out``, so blocks may run
-    concurrently; unit tangents and curvature vectors that ``out`` does not
-    ask for stay block temporaries. Same arithmetic as
-    :func:`compute_point_geometry` at each valid point.
+    Reads ``t`` as a column, ``x`` as a row and ``z`` as a plane and keeps
+    each vector as three ``(h, nx-2)`` component planes, under one
+    ``errstate`` that silences every intermediate. ``out`` holds the
+    zero-filled full-grid arrays of :func:`_run_kernel`; valid points are
+    copied into their own rows of each, so blocks may run concurrently.
+    Same arithmetic as :func:`compute_point_geometry` at each valid point.
     """
-    nx = grid.x.size
     r0, r1 = rows.start, rows.stop
-    h = r1 - r0
+    h, nx = r1 - r0, grid.x.size
     t, x, z = grid.t[r0 - 1:r1 + 1, None], grid.x[None, :], grid.z[r0 - 1:r1 + 1]
 
     def points(di: int, dj: int) -> tuple[np.ndarray, ...]:
         return (t[1 + di:h + 1 + di], x[:, 1 + dj:nx - 1 + dj],
                 z[1 + di:h + 1 + di, 1 + dj:nx - 1 + dj])
-
-    center = points(0, 0)
-    valid = np.ones((h, nx - 2), dtype=bool)
+    center, valid = points(0, 0), np.ones((h, nx - 2), dtype=bool)
     # V[k, i] and CV[k, i]: component i of stencil k's vector at each point
-    V = np.empty((4, 3, h, nx - 2))
-    CV = np.empty((4, 3, h, nx - 2))
+    V, CV = np.empty((2, 4, 3, h, nx - 2))
     with np.errstate(all="ignore"):
         for k, (at0, at2) in enumerate(_STENCIL_OFFSETS):
             q0, q2 = points(*at0), points(*at2)
@@ -485,20 +476,17 @@ def _kernel_rows(grid: SurfaceGrid, rows: slice, out: tuple[np.ndarray, ...]) ->
             b = np.sqrt(c12[0] ** 2 + c12[1] ** 2 + c12[2] ** 2)
             ab = a + b
             s1 = a / ab
-            T = _ls_slopes(q0, center, q2, 0.0, s1, 1.0)
+            T = _ls_slopes(q0, center, q2, 0.0, s1, 1.0, out=V[k])
             nT = np.sqrt(T[0] ** 2 + T[1] ** 2 + T[2] ** 2)
             valid &= ((a > 0) & (b > 0) & (ab < np.inf)
                       & (nT >= _TANGENT_EPS) & (nT < np.inf))
-            for Ti, Vi in zip(T, V[k]):
-                np.divide(Ti, nT, out=Vi)
-            dV = _ls_slopes([c / a for c in c01], V[k], [c / b for c in c12],
-                            0.5 * (0.0 + s1), s1, 0.5 * (s1 + 1.0))
-            for dVi, CVi in zip(dV, CV[k]):
-                np.divide(dVi, nT, out=CVi)
+            V[k] /= nT
+            _ls_slopes([c / a for c in c01], V[k], [c / b for c in c12],
+                       0.5 * (0.0 + s1), s1, 0.5 * (s1 + 1.0), out=CV[k])
+            CV[k] /= nT
 
-        # Each sum runs from zero in einsum's order, so the bits (the sign
-        # of a zero too) are those of np.einsum("yxki,yxkj->yxij", V, V) and,
-        # for the normal curvatures, of np.einsum("yxi,yxki->yxk", n, CV).
+        # Sums run from zero in the order of np.einsum("yxki,yxkj->yxij", V, V)
+        # and np.einsum("yxi,yxki->yxk", n, CV): same bits, signed zeros too.
         M = np.empty((h, nx - 2, 3, 3))
         for i in range(3):
             for j in range(i + 1):
@@ -517,13 +505,14 @@ def _kernel_rows(grid: SurfaceGrid, rows: slice, out: tuple[np.ndarray, ...]) ->
         np.copyto(np.moveaxis(dest[rows, 1:-1], (0, 1), (-2, -1)), block, where=valid)
 
 
-def _ls_slopes(v0, v1, v2, s0, s1, s2) -> list[np.ndarray]:
-    """:func:`_ls_slope` of each component of ``v0``, ``v1`` and ``v2``, with
-    the weights worked out once."""
-    d0 = s0 - s1
-    d2 = s2 - s1
+def _ls_slopes(v0, v1, v2, s0, s1, s2, out: np.ndarray) -> np.ndarray:
+    """:func:`_ls_slope` of each component plane of ``v0``, ``v1`` and ``v2``
+    into ``out``, with the weights worked out once."""
+    d0, d2 = s0 - s1, s2 - s1
     den = d0 * d0 + d2 * d2
-    return [(d0 * (p0 - p1) + d2 * (p2 - p1)) / den for p0, p1, p2 in zip(v0, v1, v2)]
+    for p0, p1, p2, slope in zip(v0, v1, v2, out):
+        np.divide(d0 * (p0 - p1) + d2 * (p2 - p1), den, out=slope)
+    return out
 
 
 def _worker_count(n_blocks: int) -> int:
@@ -539,13 +528,11 @@ def _run_kernel(grid: SurfaceGrid, vectors: bool = False) -> tuple[np.ndarray, .
     ``grid``, computed in row blocks, followed with ``vectors=True`` by the
     ``(ny, nx, 4, 3)`` ``tangents`` and ``curvature_vectors``.
 
-    Interior rows are processed in blocks of about ``_BLOCK_POINTS`` points,
-    each built from the grid's rows plus one halo row above and below and
-    written straight into the result, so temporaries stay block-sized. A
-    grid of at most ``_SERIAL_POINTS`` points runs on the calling thread;
-    larger grids run their blocks on a thread pool with one worker per
-    available core. The map is pointwise, so the result is bit-identical to
-    a single pass.
+    Interior rows run in blocks of about ``_BLOCK_POINTS`` points, so
+    temporaries stay block-sized. A grid of at most ``_SERIAL_POINTS``
+    points runs on the calling thread; larger grids run their blocks on a
+    thread pool with one worker per available core. The map is pointwise,
+    so the result is bit-identical to a single pass.
     """
     ny, nx = grid.shape
     out = (np.zeros((ny, nx), dtype=bool), np.zeros((ny, nx, 3)), np.zeros((ny, nx, 4)))

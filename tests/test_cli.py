@@ -8,8 +8,10 @@ import hashlib
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -675,6 +677,38 @@ class TestOutputHandling:
         assert err.endswith(f".tmp' -> '{out}'\n")
         assert not list(tmp_path.glob(".cohortgeo-*"))
         assert not list(out.iterdir())
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="POSIX FIFOs")
+    def test_output_into_a_fifo_writes_through_it(self, series_csv, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        try:
+            code = run("plot", str(series_csv), "-o", str(fifo))
+        finally:
+            if reader.is_alive() and stat.S_ISFIFO(fifo.lstat().st_mode):
+                # nothing wrote: open the FIFO once so the reader sees its end
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=10)
+        assert code == 0 and not reader.is_alive()
+        assert received[0].startswith(b"<svg")
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert not list(tmp_path.glob(".cohortgeo-*"))
+
+    @pytest.mark.skipif(not hasattr(os, "symlink"), reason="POSIX symlinks")
+    def test_output_through_a_symlink_keeps_the_link(self, series_csv, tmp_path):
+        real = tmp_path / "real" / "chart.svg"
+        real.parent.mkdir()
+        real.write_text("old")
+        link = tmp_path / "chart.svg"
+        os.symlink(real, link)
+        assert run("plot", str(series_csv), "-o", str(link)) == 0
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        assert real.read_text().startswith("<svg")
+        assert not list(tmp_path.glob("**/.cohortgeo-*"))
 
     def test_output_below_a_file_exit_2(self, ridge_csv, capsys):
         assert run("cei", str(ridge_csv), "--input-format", "csv",
