@@ -189,7 +189,8 @@ def _emit(text: str, output_path: str | None) -> None:
         mode = stat.S_IFREG
     if not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
         # a pipe or device cannot be replaced, only written into
-        with open(target, "w", encoding="utf-8", newline="") as fh:
+        with os.fdopen(os.open(target, os.O_WRONLY), "w", encoding="utf-8",
+                       newline="") as fh:
             fh.write(text)
         return
     # rename over the file a symlink names, so the link survives
