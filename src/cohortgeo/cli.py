@@ -11,7 +11,8 @@ Exit codes: 0 success, 2 input or configuration problems (including any
 ``--window``/``--years``/``--ages`` range, a ``synthetic`` ridge
 ``--width``, bump ``--sigma`` or sphere ``--radius`` that is not positive
 and finite, an ``OverflowError`` from a parameter too large to compute
-with, and a ``MemoryError`` from a grid too large to allocate), 3 geometry
+with, a ``synthetic`` grid over the size rule's cell budget or with a value
+that is not finite, and a ``MemoryError``), 3 geometry
 failures, 4 analytics failures. Output files are written atomically (temp
 file plus rename), so a failed run never leaves a partial artifact.
 Relative output paths are resolved against ``COHORTGEO_OUTPUT_DIR`` when
@@ -34,7 +35,7 @@ from .analytics import CEISeries, cei_series, detect_peaks, trim_series
 from .errors import AnalyticsError, GeometryError, IngestError, SampleSizeError
 from .geometry import GeometryOptions, compute_geometry_field
 from .hmd import load_hmd
-from .surface import MortalitySurface, Sex, parse_csv_matrix
+from .surface import MortalitySurface, Sex, _check_grid_size, parse_csv_matrix
 from .svgchart import render_series_chart
 
 EXIT_OK = 0
@@ -256,6 +257,7 @@ def _synthetic_surface(args: argparse.Namespace) -> MortalitySurface:
 
     (y0, y1) = args.years
     (a0, a1) = args.ages
+    _check_grid_size(y1 - y0 + 1, a1 - a0 + 1, "synthetic")
     years = np.arange(y0, y1 + 1)
     ages = np.arange(a0, a1 + 1)
     # domain padded by one step so 3-point stencils at the edge stay inside

@@ -6,11 +6,10 @@ tangent direction via the standard graph-surface fundamental forms. Each
 surface of the small catalog is z = h(q(t, x)) for a form q of degree at
 most 2, and one chain rule gives its derivatives from h', h'' and q's
 gradient and Hessian; it also converts the coordinates to float arrays
-once, before any formula sees them. Every construction self-checks each
-supplied derivative against a central first difference of the function one
-order below it (``f_t`` and ``f_x`` of ``f``, ``f_tt`` and ``f_tx`` of
-``f_t``, ``f_xx`` of ``f_x``) at 100 random sample points. Every real
-parameter is read once, by ``surface._real``.
+once, before any formula sees them. Construction checks no derivative; the
+tests compare each with a finite difference. Sampling refuses a grid over
+``surface._check_grid_size``'s budget and any value that is not finite.
+Every real parameter is read once, by ``surface._real``.
 
 For a birth cohort ``c`` the cohort path is ``t -> (t, t - c, f(t, t-c))``.
 The smooth cohort effect index integrates ``|NC_T - NC_N|`` along that path
@@ -31,13 +30,8 @@ import numpy as np
 
 from .errors import CohortGeoError
 from .surface import (MortalitySurface, SurfaceGrid, _as_contiguous_int_axis,
-                      _positive_real, _real)
+                      _check_grid_size, _positive_real, _real)
 
-_SELF_CHECK_POINTS = 100
-_SELF_CHECK_TOL = 1e-6
-# a power of two near 1e-4: t + h and t - h round only where they cross a
-# power of two, so a difference divides by the step it really took
-_FD_STEP = 2.0 ** -13
 # smooth_cei's midpoint schedule: 16 intervals, halved until two successive
 # sums agree to _REL_TOL relative, at most _MAX_HALVINGS times
 _REL_TOL = 1e-8
@@ -60,8 +54,10 @@ class QuadratureError(CohortGeoError):
 class AnalyticSurface:
     """Smooth surface with closed-form derivatives up to second order.
 
-    ``domain`` bounds where the surface (and its cohort paths) may be
-    evaluated; the derivative self-check samples uniformly inside it.
+    ``domain`` bounds where the surface's cohort paths may be integrated.
+    Construction does not check the derivatives against ``f``; for a
+    hand-built surface, ``assert_derivatives_match`` in ``tests/test_smooth.py``
+    does.
     """
 
     name: str
@@ -79,44 +75,6 @@ class AnalyticSurface:
         if not (0 < t1 - t0 < math.inf and 0 < x1 - x0 < math.inf):
             raise ValueError(f"surface {self.name!r}: domain {self.domain} needs "
                              f"a positive, finite extent on each axis")
-        self._self_check()
-
-    def _self_check(self) -> None:
-        # Each derivative must agree with a central first difference of the
-        # function one order below it, within _SELF_CHECK_TOL plus that
-        # difference's own rounding noise, up to 4 ulps per evaluation (the
-        # chain rule adds two roundings); a mismatch means a catalog entry
-        # (or user surface) was mis-derived.
-        (t0, t1), (x0, x1) = self.domain
-        rng = np.random.default_rng(0)
-        pad_t = 0.05 * (t1 - t0)
-        pad_x = 0.05 * (x1 - x0)
-        t = rng.uniform(t0 + pad_t, t1 - pad_t, _SELF_CHECK_POINTS)
-        x = rng.uniform(x0 + pad_x, x1 - pad_x, _SELF_CHECK_POINTS)
-        h = _FD_STEP
-        checks = (("f_t", self.f_t, self.f, h, 0.0), ("f_x", self.f_x, self.f, 0.0, h),
-                  ("f_tt", self.f_tt, self.f_t, h, 0.0), ("f_xx", self.f_xx, self.f_x, 0.0, h),
-                  ("f_tx", self.f_tx, self.f_t, 0.0, h))
-        for label, derivative, below, dt, dx in checks:
-            # Off the surface's real domain the formulas give nan; that is
-            # reported below, so numpy's warnings about it are noise.
-            with np.errstate(all="ignore"):
-                exact = np.asarray(derivative(t, x), dtype=float)
-                up, down = below(t + dt, x + dx), below(t - dt, x - dx)
-                approx = (up - down) / (2 * h)
-                noise = 2 * np.finfo(float).eps * (np.abs(up) + np.abs(down)) / h
-            if not (np.isfinite(exact).all() and np.isfinite(approx).all()):
-                raise ValueError(
-                    f"surface {self.name!r}: {label} is not finite everywhere "
-                    f"on the domain {self.domain}; the surface is not "
-                    f"real-valued there"
-                )
-            err = np.abs(exact - approx)
-            if not np.all(err < _SELF_CHECK_TOL + noise):
-                raise ValueError(
-                    f"surface {self.name!r}: {label} disagrees with finite "
-                    f"differences (max error {float(np.max(err)):.3e})"
-                )
 
     def contains(self, t: float, x: float) -> bool:
         (t0, t1), (x0, x1) = self.domain
@@ -345,6 +303,21 @@ def gompertz_surface(base_rate: float = 1e-4, age_slope: float = 0.09,
 
 # --- materialization ---------------------------------------------------------
 
+def _sample(surface: AnalyticSurface, t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``surface.f`` on the grid ``t`` x ``x``, evaluated once; a ValueError
+    for a grid over the size budget or for any value that is not finite."""
+    _check_grid_size(t.size, x.size, f"surface {surface.name!r}")
+    with np.errstate(all="ignore"):  # a bad value is reported below
+        z = np.asarray(surface.f(t.astype(float)[:, None], x.astype(float)[None, :]),
+                       dtype=float)
+    bad = np.argwhere(~np.isfinite(z))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"surface {surface.name!r}: f is not finite at (t, x) = "
+                         f"({t[i].item()}, {x[j].item()})")
+    return z
+
+
 def sample_grid(surface: AnalyticSurface,
                 t_start: float, t_stop: float,
                 x_start: float, x_stop: float,
@@ -353,15 +326,16 @@ def sample_grid(surface: AnalyticSurface,
     t_start, t_stop, x_start, x_stop = _floats("sample_grid", t_start, t_stop, x_start, x_stop)
     step = _positive_real(step, ValueError("step must be positive"))
 
-    def axis(name: str, start: float, stop: float) -> np.ndarray:
+    def count(name: str, start: float, stop: float) -> int:
         steps = (stop - start) / step + 1e-9
         if abs(steps) == math.inf:
             raise ValueError(f"sample_grid: ({name}_stop - {name}_start) / step is infinite")
-        return start + step * np.arange(math.floor(steps) + 1)
+        return math.floor(steps) + 1
 
-    t, x = axis("t", t_start, t_stop), axis("x", x_start, x_stop)
-    z = surface.f(t[:, None], x[None, :])
-    return SurfaceGrid(t=t, x=x, z=np.asarray(z, dtype=float))
+    n_t, n_x = count("t", t_start, t_stop), count("x", x_start, x_stop)
+    _check_grid_size(n_t, n_x, "sample_grid")  # before the axes are built
+    t, x = t_start + step * np.arange(n_t), x_start + step * np.arange(n_x)
+    return SurfaceGrid(t=t, x=x, z=_sample(surface, t, x))
 
 
 def materialize_mortality_surface(surface: AnalyticSurface,
@@ -369,11 +343,10 @@ def materialize_mortality_surface(surface: AnalyticSurface,
     """Sample on an integer year/age grid and wrap as a mortality surface.
 
     The axes are read by the integer-axis rule before sampling. Values must
-    be nonnegative (mortality-surface invariant); pick catalog parameters
-    accordingly.
+    be finite (:func:`_sample`) and nonnegative (mortality-surface
+    invariant); pick catalog parameters accordingly.
     """
     years = _as_contiguous_int_axis(years, "years")
     ages = _as_contiguous_int_axis(ages, "ages")
-    z = surface.f(years.astype(float)[:, None], ages.astype(float)[None, :])
-    return MortalitySurface(years=years, ages=ages, rates=np.asarray(z, dtype=float),
+    return MortalitySurface(years=years, ages=ages, rates=_sample(surface, years, ages),
                             source_label=surface.name)

@@ -66,6 +66,20 @@ def _positive_real(value: object, error: Exception) -> float:
     return value
 
 
+# Four times the 1000 x 1000 stress grid. `cohortgeo synthetic` writes about
+# 260 bytes per cell as JSON, so a grid at the budget peaks near 1.1 GB.
+_MAX_GRID_CELLS = 4_000_000
+
+
+def _check_grid_size(rows: int, cols: int, what: str) -> None:
+    """The one size rule for a grid about to be built: a ValueError naming
+    ``what`` if ``rows`` x ``cols`` exceeds ``_MAX_GRID_CELLS``."""
+    cells = max(rows, 0) * max(cols, 0)
+    if cells > _MAX_GRID_CELLS:
+        raise ValueError(f"{what}: a {rows} x {cols} grid has {cells:,} cells, "
+                         f"over the budget of {_MAX_GRID_CELLS:,}")
+
+
 def _as_int64_array(values: Iterable[int], what: str) -> np.ndarray:
     """``values`` as a nonempty 1-D int64 array, or :class:`StructuralError`."""
     if isinstance(values, Iterable) and not isinstance(values, np.ndarray):

@@ -40,6 +40,7 @@ from cohortgeo.analytics import (
 )
 from cohortgeo import smooth
 from cohortgeo.cli import build_parser, main
+from cohortgeo.surface import _MAX_GRID_CELLS
 from cohortgeo.svgchart import _ticks
 from conftest import make_hmd_text, package_env, planted_hmd_text
 
@@ -151,8 +152,42 @@ class TestSynthetic:
         assert capsys.readouterr().err == (
             f"error: {flag[2:]} must be positive and finite, got {float(value)!r}\n")
 
+    @pytest.mark.parametrize("radius", ["6.4", "6.5", "6.8"])
+    def test_sphere_whose_grid_stays_on_the_cap_accepted(self, radius):
+        # the padded domain's corners leave the cap; the farthest cell is
+        # 6.36 from the center, so every sampled value is finite
+        proc = run_child("synthetic", "--shape", "sphere", "--radius", radius,
+                         "--years", "0:9", "--ages", "0:9")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert len(proc.stdout.splitlines()) == 10
+
+    def test_sphere_off_its_cap_on_the_grid_exit_2(self):
+        proc = run_child("synthetic", "--shape", "sphere", "--radius", "6.0",
+                         "--years", "0:9", "--ages", "0:9")
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "error: surface 'sphere_cap(R=6.0,center=(4.5,4.5))': f is not finite "
+            "at (t, x) = (0, 0)\n")
+
+    def test_grid_over_the_cell_budget_exit_2(self):
+        # The child caps its own address space at 1 GiB, so a grid that got
+        # past the size rule fails to allocate instead of taking the
+        # machine's memory; the message tells the two refusals apart.
+        child = ("import resource, runpy, sys; "
+                 "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+                 "sys.argv[0] = 'cohortgeo'; "
+                 "runpy.run_module('cohortgeo.cli', run_name='__main__')")
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "synthetic", "--shape", "plane",
+             "--years", "0:99999999", "--ages", "0:1"],
+            capture_output=True, text=True, env=package_env())
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            "error: synthetic: a 100000000 x 2 grid has 200,000,000 cells, over "
+            f"the budget of {_MAX_GRID_CELLS:,}\n")
+
     def test_grid_too_large_to_allocate_exit_2(self, monkeypatch, capsys):
-        # a real oversized grid would first build gigabytes of axes
+        # a machine short of memory, under the size rule's budget
         def refuse(surface, years, ages):
             raise MemoryError("Unable to allocate 71.1 PiB for an array")
         monkeypatch.setattr(smooth, "materialize_mortality_surface", refuse)

@@ -11,12 +11,48 @@ from scipy.integrate import quad
 import cohortgeo as cg
 from cohortgeo import smooth
 from cohortgeo.smooth import AnalyticSurface, QuadratureError
+from cohortgeo.surface import _MAX_GRID_CELLS, _check_grid_size
+
+# a power of two near 1e-4: t + h and t - h round only where they cross a
+# power of two, so a difference divides by the step it really took
+FD_STEP = 2.0 ** -13
+FD_TOL = 1e-6
+
+
+def assert_derivatives_match(surface: AnalyticSurface) -> None:
+    """Check each derivative of ``surface`` against a central first
+    difference of the function one order below it (``f_t`` and ``f_x`` of
+    ``f``, ``f_tt`` and ``f_tx`` of ``f_t``, ``f_xx`` of ``f_x``) at 100 seeded
+    points inside the inner 90% of its domain. The tolerance is ``FD_TOL``
+    plus the difference's own rounding noise, 4 ulps per evaluation (the
+    chain rule adds two roundings). Construction checks none of this, so
+    this is how to check a hand-built surface."""
+    (t0, t1), (x0, x1) = surface.domain
+    rng = np.random.default_rng(0)
+    pad_t, pad_x = 0.05 * (t1 - t0), 0.05 * (x1 - x0)
+    t = rng.uniform(t0 + pad_t, t1 - pad_t, 100)
+    x = rng.uniform(x0 + pad_x, x1 - pad_x, 100)
+    h = FD_STEP
+    checks = (("f_t", surface.f_t, surface.f, h, 0.0), ("f_x", surface.f_x, surface.f, 0.0, h),
+              ("f_tt", surface.f_tt, surface.f_t, h, 0.0),
+              ("f_xx", surface.f_xx, surface.f_x, 0.0, h),
+              ("f_tx", surface.f_tx, surface.f_t, 0.0, h))
+    for label, derivative, below, dt, dx in checks:
+        with np.errstate(all="ignore"):  # a nan fails the comparison below
+            exact = np.asarray(derivative(t, x), dtype=float)
+            up, down = below(t + dt, x + dx), below(t - dt, x - dx)
+            approx = (up - down) / (2 * h)
+            noise = 2 * np.finfo(float).eps * (np.abs(up) + np.abs(down)) / h
+        err = np.abs(exact - approx)
+        assert np.all(err < FD_TOL + noise), (
+            f"surface {surface.name!r}: {label} disagrees with finite "
+            f"differences (max error {float(np.max(err)):.3e})")
 
 
 class TestSelfCheck:
     def test_wrong_derivative_rejected(self):
-        with pytest.raises(ValueError, match="f_t"):
-            AnalyticSurface(
+        with pytest.raises(AssertionError, match="f_t"):
+            assert_derivatives_match(AnalyticSurface(
                 name="broken",
                 f=lambda t, x: t * x,
                 f_t=lambda t, x: np.full_like(np.asarray(t, float), 99.0),
@@ -25,11 +61,11 @@ class TestSelfCheck:
                 f_tx=lambda t, x: np.ones_like(np.asarray(t, float)),
                 f_xx=lambda t, x: np.zeros_like(np.asarray(t, float)),
                 domain=((0.0, 10.0), (0.0, 10.0)),
-            )
+            ))
 
     def test_wrong_second_derivative_rejected(self):
-        with pytest.raises(ValueError, match="f_xx"):
-            AnalyticSurface(
+        with pytest.raises(AssertionError, match="f_xx"):
+            assert_derivatives_match(AnalyticSurface(
                 name="broken2",
                 f=lambda t, x: np.asarray(x, float) ** 2,
                 f_t=lambda t, x: np.zeros_like(np.asarray(t, float)),
@@ -38,7 +74,7 @@ class TestSelfCheck:
                 f_tx=lambda t, x: np.zeros_like(np.asarray(t, float)),
                 f_xx=lambda t, x: np.zeros_like(np.asarray(t, float)),
                 domain=((0.0, 10.0), (0.0, 10.0)),
-            )
+            ))
 
     # the years and ages of a 100-year HMD file, one unit of margin each side
     SWEEP_DOMAIN = ((1899.0, 2001.0), (-1.0, 111.0))
@@ -68,13 +104,24 @@ class TestSelfCheck:
                                                 domain=self.SWEEP_DOMAIN),
         }[family]
         for _ in range(400):
-            build()
+            assert_derivatives_match(build())
 
     @pytest.mark.parametrize("slope", [1e3, 1e4, 1e5])
     def test_steep_plane_through_the_domain_constructs(self, slope):
         # f is small where f_t is large: the step's own rounding, not f's,
         # would dominate a difference taken with a step like 1e-4
-        smooth.plane(slope, 10.0, -1950.0 * slope - 550.0, domain=self.SWEEP_DOMAIN)
+        assert_derivatives_match(
+            smooth.plane(slope, 10.0, -1950.0 * slope - 550.0, domain=self.SWEEP_DOMAIN))
+
+    @pytest.mark.parametrize("surface", [
+        lambda d: smooth.plane(5.19e-229, -7.14e57, 5.35e59, domain=d),
+        lambda d: smooth.gaussian_ridge(0.00138, 7.1e7, 1833.3, domain=d),
+    ], ids=["plane-cancels", "ridge-truncates"])
+    def test_exact_surface_beyond_finite_differences_samples(self, surface):
+        # a construction-time finite-difference check refused these exact
+        # surfaces: f cancels between huge terms, or a difference truncates
+        grid = smooth.sample_grid(surface(self.SWEEP_DOMAIN), 1900, 2000, 0, 110)
+        assert grid.z.shape == (101, 111) and np.isfinite(grid.z).all()
 
     @pytest.mark.parametrize("label, f, f_t, f_x, f_xx", [
         ("f_xx", lambda t, x: 1e5 + x * x, 0.0, lambda t, x: 2.0 * x, 2.01),
@@ -83,10 +130,10 @@ class TestSelfCheck:
     def test_small_error_on_a_large_surface_rejected(self, label, f, f_t, f_x, f_xx):
         def const(value):
             return lambda t, x: np.full(np.broadcast(t, x).shape, value)
-        with pytest.raises(ValueError, match=f"'mis-derived': {label} disagrees"):
-            AnalyticSurface(name="mis-derived", f=f, f_t=const(f_t), f_x=f_x,
-                            f_tt=const(0.0), f_tx=const(0.0), f_xx=const(f_xx),
-                            domain=((0.0, 10.0), (0.0, 10.0)))
+        with pytest.raises(AssertionError, match=f"'mis-derived': {label} disagrees"):
+            assert_derivatives_match(AnalyticSurface(
+                name="mis-derived", f=f, f_t=const(f_t), f_x=f_x, f_tt=const(0.0),
+                f_tx=const(0.0), f_xx=const(f_xx), domain=((0.0, 10.0), (0.0, 10.0))))
 
     def test_empty_domain_rejected(self):
         with pytest.raises(ValueError):
@@ -97,16 +144,19 @@ class TestSelfCheck:
                                         ((0.0, 1.0), (math.nan, 1.0))],
                              ids=["infinite", "extent-overflows", "nan"])
     def test_domain_without_a_finite_extent_rejected(self, domain):
-        # rng.uniform would raise OverflowError inside the self-check
         with pytest.raises(ValueError, match=r"^surface 'plane\(1.0,1.0,1.0\)': domain "
                            r".* needs a positive, finite extent on each axis$"):
             smooth.plane(1, 1, 1, domain=domain)
 
     def test_surface_off_its_real_domain_rejected(self):
-        # a sphere of radius 5 is not real-valued over most of [0, 50]^2
+        # a sphere of radius 5 is not real-valued over most of [0, 50]^2:
+        # it constructs, and sampling it names the first cell off the cap
+        surf = smooth.sphere_cap(5.0, domain=((0.0, 50.0), (0.0, 50.0)))
         with pytest.raises(ValueError, match="not finite") as info:
-            smooth.sphere_cap(5.0, domain=((0.0, 50.0), (0.0, 50.0)))
-        assert "nan" not in str(info.value).lower()
+            smooth.sample_grid(surf, 0, 50, 0, 50)
+        assert str(info.value) == (
+            "surface 'sphere_cap(R=5.0,center=(0.0,0.0))': f is not finite at "
+            "(t, x) = (0.0, 6.0)")
 
     def test_catalog_members_construct(self):
         smooth.plane(0.3, 0.7, 5.0)
@@ -330,3 +380,26 @@ class TestMaterialization:
             surf, np.arange(1900, 1920), np.arange(0, 15))
         field = cg.compute_geometry_field(ms)
         assert field.valid.sum() == 18 * 13
+
+    def test_non_finite_sample_names_its_cell(self):
+        # the cap ends 0.3 inside the domain's corners; the grid reaches them
+        surf = smooth.sphere_cap(9.8, domain=((-7.2, 7.2), (-7.2, 7.2)))
+        with pytest.raises(ValueError) as info:
+            smooth.materialize_mortality_surface(surf, range(-7, 8), range(-7, 8))
+        assert str(info.value) == (
+            "surface 'sphere_cap(R=9.8,center=(0.0,0.0))': f is not finite at "
+            "(t, x) = (-7, -7)")
+
+    def test_grid_size_rule(self):
+        surf = smooth.plane(0.1, 0.2, 3.0)
+        budget = f"over the budget of {_MAX_GRID_CELLS:,}"
+        # refused before the axes are built: 10**12 cells would need terabytes
+        with pytest.raises(ValueError, match=f"^sample_grid: a 1000001 x 1000001 "
+                                             f"grid has 1,000,002,000,001 cells, {budget}$"):
+            smooth.sample_grid(surf, 0, 1e6, 0, 1e6)
+        with pytest.raises(ValueError, match=f"^surface 'plane.*': a 4001 x 1000 grid "
+                                             f"has 4,001,000 cells, {budget}$"):
+            smooth.materialize_mortality_surface(surf, np.arange(4001), np.arange(1000))
+        _check_grid_size(1000, 1000, "the stress grid")
+        _check_grid_size(2000, 2000, "a grid at the budget")
+        _check_grid_size(-5, -10**9, "an empty grid")  # a reversed sample_grid range
